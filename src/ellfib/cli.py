@@ -23,7 +23,7 @@ from .collisions import (
     miranda_reduce,
     multiple_fibre_verdict,
 )
-from .errors import FibrationError, ParseError, ValidationError
+from .errors import FibrationError, ParseError, ValidationError, naming_input
 from .parser import parse_description
 from .presentations import PresentationStore, load_presentation_file, local_sha_with_witnesses
 from .weierstrass import INFINITY, KodairaType, ValuationProfile, classify, j_valuation, minimalize
@@ -126,7 +126,8 @@ def _cmd_reduce(args, out) -> int:
 
 
 def _cmd_sha_local(args, out) -> int:
-    _, pres = load_presentation_file(args.presentation)
+    with naming_input(args.presentation):
+        _, pres = load_presentation_file(args.presentation)
     group, witnesses = local_sha_with_witnesses(pres)
     print(f"local sha: {group}", file=out)
     for w in witnesses:
@@ -163,7 +164,7 @@ def _cmd_delta_gcd(args, out) -> int:
 def _cmd_report(args, out) -> int:
     import os
 
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with naming_input(args.input), open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     description = parse_description(text)
     store = PresentationStore()

@@ -5,6 +5,9 @@ distinguish engine failures from input problems (ParseError,
 ValidationError) when choosing an exit code.
 """
 
+import json
+from contextlib import contextmanager
+
 
 class FibrationError(Exception):
     """Base class for all errors raised by this library."""
@@ -93,7 +96,7 @@ class Diagnostic:
 
 
 class ParseError(FibrationError):
-    """Syntax errors in a description file, with line/column positions."""
+    """Syntax errors in an input file, with line/column positions."""
 
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
@@ -106,3 +109,20 @@ class ValidationError(FibrationError):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(str(d) for d in self.diagnostics))
+
+
+@contextmanager
+def naming_input(path):
+    """Turn a JSON or UTF-8 decoding failure inside the block into a
+    ParseError naming `path`.  Files must be read whole, so that the
+    decoder's byte offset is an offset into the file."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise ParseError([Diagnostic(exc.lineno, exc.colno, f"{exc.msg} in {path}")]) from exc
+    except UnicodeDecodeError as exc:
+        raw = exc.object
+        start = raw.rfind(b"\n", 0, exc.start) + 1
+        line = raw.count(b"\n", 0, start) + 1
+        column = len(raw[start:exc.start].decode("utf-8")) + 1
+        raise ParseError([Diagnostic(line, column, f"not valid UTF-8 in {path}")]) from exc

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CommutationFailure, DimensionMismatch
 
@@ -177,11 +177,14 @@ class IntMatrix:
 @dataclass(frozen=True)
 class SmithDecomposition:
     """A = U * D * V with U, V unimodular and D = diag(d1, ..., dr, 0, ...)
-    satisfying d1 | d2 | ... | dr, all positive."""
+    satisfying d1 | d2 | ... | dr, all positive.  U_inv and V_inv are the
+    exact inverses of U and V."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    U_inv: IntMatrix
+    V_inv: IntMatrix
     rank: int
 
     def diagonal(self) -> tuple[int, ...]:
@@ -192,23 +195,21 @@ class SmithDecomposition:
         return tuple(d for d in self.diagonal() if d > 1)
 
 
-class _SmithData(NamedTuple):
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
-    rank: int
-
-
 def _identity_lists(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _smith_core(a: IntMatrix) -> _SmithData:
-    """Diagonalize by elementary row/column operations, always pivoting on
-    an entry of minimal absolute value.  Mirrors every operation into U,
-    V and their inverses so that A = U * D * V holds throughout."""
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form A = U * D * V over Z.
+
+    Diagonalizes by elementary row/column operations, always pivoting on
+    an entry of minimal absolute value, and mirrors every operation into
+    U, V and their inverses so that A = U * D * V holds throughout.
+
+    Works for any shape including empty matrices.  Intended for the small
+    systems in this library (tens of rows); entries may be arbitrarily
+    large since all arithmetic is exact.
+    """
     nr, nc = a.rows, a.cols
     d = a.to_rows()
     u = _identity_lists(nr)
@@ -300,7 +301,7 @@ def _smith_core(a: IntMatrix) -> _SmithData:
             row_negate(t)
         t += 1
 
-    return _SmithData(
+    return SmithDecomposition(
         IntMatrix.from_rows(u, cols=nr),
         IntMatrix.from_rows(d, cols=nc),
         IntMatrix.from_rows(v, cols=nc),
@@ -308,17 +309,6 @@ def _smith_core(a: IntMatrix) -> _SmithData:
         IntMatrix.from_rows(v_inv, cols=nc),
         t,
     )
-
-
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form A = U * D * V over Z.
-
-    Works for any shape including empty matrices.  Intended for the small
-    systems in this library (tens of rows); entries may be arbitrarily
-    large since all arithmetic is exact.
-    """
-    core = _smith_core(a)
-    return SmithDecomposition(core.u, core.d, core.v, core.rank)
 
 
 def _normalize_chain(orders: Iterable[int]) -> tuple[int, ...]:
@@ -447,18 +437,17 @@ class CokernelChart:
 
 
 def cokernel_chart(r: IntMatrix) -> CokernelChart:
-    core = _smith_core(r)
+    dec = smith_normal_form(r)
     return CokernelChart(
-        source=r, basis_transform=core.u_inv, rank=core.rank, ambient_dim=r.rows
+        source=r, basis_transform=dec.U_inv, rank=dec.rank, ambient_dim=r.rows
     )
 
 
 def _induced_block(
     r: IntMatrix, n: IntMatrix, m0: IntMatrix, sigma: IntMatrix
-) -> tuple[IntMatrix, _SmithData, int]:
+) -> tuple[IntMatrix, SmithDecomposition]:
     """Matrix of the map induced by N between the cokernels of R and M0,
-    in Smith quotient coordinates.  Returns (block, smith data of R,
-    rank of M0)."""
+    in Smith quotient coordinates.  Returns (block, Smith form of R)."""
     if n.cols != r.rows:
         raise DimensionMismatch(
             f"N has {n.cols} columns but R has {r.rows} rows"
@@ -473,11 +462,10 @@ def _induced_block(
         )
     if (n @ r) != (m0 @ sigma):
         raise CommutationFailure("N * R != M0 * Sigma: the square does not commute")
-    top = _smith_core(r)
-    bottom = _smith_core(m0)
-    w = bottom.u_inv @ n @ top.u
-    block = w.submatrix(bottom.rank, top.rank)
-    return block, top, bottom.rank
+    top = smith_normal_form(r)
+    bottom = smith_normal_form(m0)
+    w = bottom.U_inv @ n @ top.U
+    return w.submatrix(bottom.rank, top.rank), top
 
 
 def induced_kernel(
@@ -494,7 +482,7 @@ def induced_kernel(
     lower-right block of U_M0^-1 * N * U_R, and its kernel is computed by
     qz_kernel.
     """
-    block, _, _ = _induced_block(r, n, m0, sigma)
+    block, _ = _induced_block(r, n, m0, sigma)
     return qz_kernel(block)
 
 
@@ -507,22 +495,18 @@ def induced_kernel_with_witnesses(
     The i-th witness generates the Z/d_i summand; entries are reduced mod
     1, so denominators divide d_i (hence the exponent of the group).
     """
-    block, top, _ = _induced_block(r, n, m0, sigma)
-    core = _smith_core(block)
-    group = DivisibleGroup(block.cols - core.rank, tuple(
-        d for d in (core.d.at(i, i) for i in range(min(core.d.rows, core.d.cols)))
-        if d > 1
-    ))
+    block, top = _induced_block(r, n, m0, sigma)
+    dec = smith_normal_form(block)
+    group = DivisibleGroup(block.cols - dec.rank, dec.invariant_factors())
     witnesses: list[tuple[Fraction, ...]] = []
-    for i in range(core.rank):
-        d_i = core.d.at(i, i)
+    for i, d_i in enumerate(dec.diagonal()):
         if d_i <= 1:
             continue
         # quotient-coordinate generator: column i of V^-1 divided by d_i
-        y = [Fraction(core.v_inv.at(m, i), d_i) for m in range(block.cols)]
+        y = [Fraction(dec.V_inv.at(m, i), d_i) for m in range(block.cols)]
         # embed into Smith coordinates of R (zeros on the image part),
         # then return to the standard basis of the ambient (Q/Z)^C
         padded = [Fraction(0)] * top.rank + y
-        ambient = top.u.apply_to_rational(padded)
+        ambient = top.U.apply_to_rational(padded)
         witnesses.append(tuple(x % 1 for x in ambient))
     return group, witnesses

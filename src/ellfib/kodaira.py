@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import LengthMismatch
-from .exact_linalg import DivisibleGroup, IntMatrix, _smith_core, smith_normal_form
+from .exact_linalg import DivisibleGroup, IntMatrix, smith_normal_form
 from .weierstrass import KodairaType
 
 __all__ = [
@@ -126,11 +126,11 @@ def reduced_pairing(ft: KodairaType) -> IntMatrix:
     """Gram matrix of the pairing induced on components modulo the
     radical; nondegenerate (possibly 0 x 0)."""
     gram = lattice_data(ft).gram
-    core = _smith_core(gram)
-    c, rank = gram.rows, core.rank
+    dec = smith_normal_form(gram)
+    c, rank = gram.rows, dec.rank
     # columns of V^-1 past the rank span the radical; the first rank
     # columns descend to a basis of the quotient
-    comp = [[core.v_inv.at(i, j) for j in range(rank)] for i in range(c)]
+    comp = [[dec.V_inv.at(i, j) for j in range(rank)] for i in range(c)]
     comp_m = IntMatrix.from_rows(comp, cols=rank)
     return comp_m.transpose() @ gram @ comp_m
 

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PresentationInconsistent
+from .errors import PresentationInconsistent, naming_input
 from .exact_linalg import (
     CokernelChart,
     DivisibleGroup,
@@ -265,7 +265,9 @@ class PresentationStore:
         loaded = []
         for name in sorted(os.listdir(dirpath)):
             if name.endswith(".json"):
-                loaded.append(self.load_file(os.path.join(dirpath, name)))
+                path = os.path.join(dirpath, name)
+                with naming_input(path):
+                    loaded.append(self.load_file(path))
         return loaded
 
     def lookup(self, left: str, right: str) -> CollisionPresentation | None:

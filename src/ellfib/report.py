@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from . import kodaira
 from .collisions import (
-    ALLOWED,
     BlowupNode,
     BlowupTree,
     BranchGerm,
@@ -41,7 +40,6 @@ from .weierstrass import (
     ValuationProfile,
     axis_profile,
     classify,
-    discriminant,
     j_valuation,
     minimalize,
 )
@@ -132,10 +130,6 @@ class AnalysisReport:
         return bool(self.errors)
 
 
-def _profile_tuple(p: ValuationProfile) -> tuple:
-    return p.as_tuple()
-
-
 def _branch_report(name: str, profile: ValuationProfile) -> tuple[BranchReport, BranchGerm]:
     minimal, twists = minimalize(profile)
     ft = classify(minimal)
@@ -144,9 +138,9 @@ def _branch_report(name: str, profile: ValuationProfile) -> tuple[BranchReport, 
     sha = kodaira.sha_punctured_transverse(ft)
     rep = BranchReport(
         name=name,
-        input_profile=_profile_tuple(profile),
+        input_profile=profile.as_tuple(),
         twist_count=twists,
-        minimal_profile=_profile_tuple(minimal),
+        minimal_profile=minimal.as_tuple(),
         fibre_type=str(ft),
         j_valuation=j_valuation(minimal),
         component_count=lat.component_count,
@@ -234,17 +228,14 @@ def analyze(
     report = AnalysisReport(description=d)
     germs: dict[str, BranchGerm] = {}
 
+    declared = []
     if d.mode == "weierstrass":
-        pairs = []
         try:
-            discriminant(d.model)
-            pairs = [(name, axis_profile(d.model, axis))
-                     for name, axis in zip(AXIS_BRANCH_NAMES, ("s", "t"))]
+            declared = [(name, axis_profile(d.model, axis))
+                        for name, axis in zip(AXIS_BRANCH_NAMES, ("s", "t"))]
         except FibrationError as exc:
             report.errors.append(ErrorEntry("model", type(exc).__name__, str(exc)))
-        declared = pairs
     else:
-        declared = []
         for b in d.branches:
             try:
                 declared.append((b.name, ValuationProfile(b.va, b.vb, b.vdelta)))
@@ -295,9 +286,7 @@ def analyze(
             continue
 
         crep.tree = tree
-        for leaf in tree.leaves():
-            if leaf.status != ALLOWED:
-                continue
+        for leaf in tree.allowed_leaves():
             crep.leaves.append(
                 _leaf_report(leaf, explicit, c.presentation, store,
                              report.errors, subject)

@@ -182,6 +182,43 @@ def test_report_parse_error(tmp_path, capsys):
     assert "missing vdelta" in err
 
 
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    return line
+
+
+def test_sha_local_malformed_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"pair": [', encoding="utf-8")
+    rc, _ = run("sha-local", str(bad))
+    assert rc == EXIT_INPUT
+    assert _single_error_line(capsys) == f"error: line 1, col 11: Expecting value in {bad}"
+
+
+def test_report_malformed_presentation_directory(tmp_path, capsys):
+    pres = tmp_path / "presentations"
+    pres.mkdir()
+    bad = pres / "bad.json"
+    bad.write_text('{"pair": [', encoding="utf-8")
+    rc, out = run("report", str(CORPUS / "i2_i0star.fib"), "--presentations", str(pres))
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert _single_error_line(capsys) == f"error: line 1, col 11: Expecting value in {bad}"
+
+
+def test_report_input_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.fib"
+    bad.write_bytes(b"[branch A] va=0 vb=0 vdelta=1\n[branch B] va=0 \xff\n")
+    rc, out = run("report", str(bad))
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert _single_error_line(capsys) == (
+        f"error: line 2, col 17: not valid UTF-8 in {bad}"
+    )
+
+
 def test_report_engine_error(tmp_path):
     doc = tmp_path / "clash.fib"
     doc.write_text(

@@ -192,6 +192,8 @@ def test_snf_structure():
         assert dec.U @ dec.D @ dec.V == m
         assert abs(_det_laplace(dec.U.to_rows())) == 1
         assert abs(_det_laplace(dec.V.to_rows())) == 1
+        assert dec.U @ dec.U_inv == IntMatrix.identity(m.rows)
+        assert dec.V @ dec.V_inv == IntMatrix.identity(m.cols)
         diag = dec.diagonal()
         # nonnegative diagonal, zeros only at the tail, divisibility chain
         assert all(d >= 0 for d in diag)

@@ -3,7 +3,8 @@
 import json
 import pathlib
 
-from ellfib.parser import parse_description
+from ellfib import poly
+from ellfib.parser import FibrationDescription, parse_description
 from ellfib.report import (
     ALL_IRREDUCIBLE_NOTE,
     PUNCTURED_HYPOTHESIS,
@@ -11,6 +12,7 @@ from ellfib.report import (
     render_json,
     render_text,
 )
+from ellfib.weierstrass import WeierstrassPolyModel
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -71,6 +73,18 @@ def test_weierstrass_mode_axis_branches():
     assert [b.fibre_type for b in rep.branches] == ["II", "I0"]
     assert rep.summary.all_irreducible is True
     assert rep.summary.note == ALL_IRREDUCIBLE_NOTE
+
+
+def test_degenerate_model_is_one_error_entry():
+    # a = -3 s^2, b = 2 s^3 gives 4 a^3 + 27 b^2 = 0; the parser rejects
+    # such a model, so build the description directly
+    model = WeierstrassPolyModel(poly.monomial(-3, 2, 0), poly.monomial(2, 3, 0))
+    d = FibrationDescription("weierstrass", (), model, (), None, None)
+    doc = json.loads(render_json(analyze(d)))
+    assert doc["branches"] == []
+    assert [(e["subject"], e["kind"]) for e in doc["errors"]] == [
+        ("model", "DegenerateModel")
+    ]
 
 
 def test_weierstrass_axes_collision_dissolves():
