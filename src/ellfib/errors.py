@@ -57,6 +57,10 @@ class NotMirandaAllowed(FibrationError):
     """The collision type is outside the resolvable list."""
 
 
+class LatticeTooLarge(FibrationError):
+    """A fibre has more components than an explicit Gram matrix is built for."""
+
+
 class PresentationInconsistent(FibrationError):
     """Component presentation data fails its bookkeeping identities."""
 

@@ -5,6 +5,15 @@ lattice whose radical is generated by the full fibre (the multiplicity
 vector); the induced pairing on the quotient is the negative of a root
 lattice of type A, D or E, and its discriminant group is the finite
 invariant attached to the fibre type.
+
+The per-type data a report needs (component count, multiplicities,
+discriminant group) are closed forms read off the type: I_n is A_{n-1}
+with group Z/n, I_n* is D_{n+4} with group Z/4 (n odd) or (Z/2)^2
+(n even), IV and IV* give Z/3, III and III* give Z/2, II and II* give 0.
+None of them builds a Gram matrix.  `lattice_data` builds the full
+intersection matrix (up to MAX_LATTICE_COMPONENTS components), and
+`reduced_pairing` plus a Smith form of it is the independent oracle the
+tests check the closed forms against.
 """
 
 from __future__ import annotations
@@ -12,14 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import LengthMismatch
+from .errors import LatticeTooLarge, LengthMismatch
 from .exact_linalg import DivisibleGroup, IntMatrix, smith_normal_form
 from .weierstrass import KodairaType
 
 __all__ = [
+    "MAX_LATTICE_COMPONENTS",
     "FibreLattice",
     "lattice_data",
     "component_count",
+    "multiplicities",
     "euler_number",
     "discriminant_group",
     "reduced_pairing",
@@ -56,13 +67,29 @@ class FibreLattice:
             )
 
 
-def _graph_lattice(multiplicities, weighted_edges) -> tuple[tuple[int, ...], IntMatrix]:
-    c = len(multiplicities)
+def _graph_gram(c: int, weighted_edges) -> IntMatrix:
     rows = [[(-2 if i == j else 0) for j in range(c)] for i in range(c)]
     for i, j, w in weighted_edges:
         rows[i][j] += w
         rows[j][i] += w
-    return tuple(multiplicities), IntMatrix.from_rows(rows)
+    return IntMatrix.from_rows(rows)
+
+
+# Fixed additive types: multiplicities in lattice_data's component order,
+# and invariant factors of the discriminant group.
+_FIXED_TYPES = {
+    "II": ((1,), ()),
+    "III": ((1, 1), (2,)),
+    "IV": ((1, 1, 1), (3,)),
+    "IV*": ((1, 2, 3, 2, 1, 2, 1), (3,)),
+    "III*": ((1, 2, 3, 4, 3, 2, 1, 2), (2,)),
+    "II*": ((1, 2, 3, 4, 5, 6, 4, 2, 3), ()),
+}
+
+# Most components lattice_data builds a Gram matrix for: the matrix and
+# its checks are quadratic in the component count, so an I_n of huge
+# index would never return.
+MAX_LATTICE_COMPONENTS = 1000
 
 
 def component_count(ft: KodairaType) -> int:
@@ -70,7 +97,16 @@ def component_count(ft: KodairaType) -> int:
         return max(ft.index, 1)
     if ft.kind == "I*":
         return ft.index + 5
-    return {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}[ft.kind]
+    return len(_FIXED_TYPES[ft.kind][0])
+
+
+def multiplicities(ft: KodairaType) -> tuple[int, ...]:
+    """Multiplicity of each component, in lattice_data's order."""
+    if ft.kind == "I":
+        return (1,) * max(ft.index, 1)
+    if ft.kind == "I*":
+        return (1, 1, 1, 1) + (2,) * (ft.index + 1)
+    return _FIXED_TYPES[ft.kind][0]
 
 
 def euler_number(ft: KodairaType) -> int:
@@ -78,9 +114,7 @@ def euler_number(ft: KodairaType) -> int:
     profile classifying to the type."""
     if ft.kind == "I":
         return ft.index
-    if ft.kind == "I*":
-        return ft.index + 6
-    return {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}[ft.kind]
+    return component_count(ft) + 1
 
 
 def lattice_data(ft: KodairaType) -> FibreLattice:
@@ -93,33 +127,39 @@ def lattice_data(ft: KodairaType) -> FibreLattice:
     multiplicity-1 components first (two at each end), then the chain of
     multiplicity-2 components.  The IV*, III*, II* trees list the longest
     chain first and append the remaining short arm.
+
+    Raises LatticeTooLarge above MAX_LATTICE_COMPONENTS components.
     """
+    c = component_count(ft)
+    if c > MAX_LATTICE_COMPONENTS:
+        raise LatticeTooLarge(
+            f"{ft} has {c} components; lattice data is built for at most "
+            f"{MAX_LATTICE_COMPONENTS} (MAX_LATTICE_COMPONENTS)"
+        )
     kind, n = ft.kind, ft.index
+    mult = multiplicities(ft)
     if kind == "I" and n <= 1 or kind == "II":
-        mult, gram = (1,), IntMatrix.from_rows([[0]])
+        gram = IntMatrix.from_rows([[0]])
     elif kind == "I" and n == 2 or kind == "III":
-        mult, gram = _graph_lattice((1, 1), [(0, 1, 2)])
+        gram = _graph_gram(c, [(0, 1, 2)])
     elif kind == "I":
-        mult, gram = _graph_lattice((1,) * n, [(i, (i + 1) % n, 1) for i in range(n)])
+        gram = _graph_gram(c, [(i, (i + 1) % n, 1) for i in range(n)])
     elif kind == "IV":
-        mult, gram = _graph_lattice((1, 1, 1), [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+        gram = _graph_gram(c, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
     elif kind == "I*":
         chain = list(range(4, 5 + n))
         edges = [(0, chain[0], 1), (1, chain[0], 1), (2, chain[-1], 1), (3, chain[-1], 1)]
         edges += [(chain[i], chain[i + 1], 1) for i in range(n)]
-        mult, gram = _graph_lattice((1, 1, 1, 1) + (2,) * (n + 1), edges)
+        gram = _graph_gram(c, edges)
     elif kind == "IV*":
-        mult, gram = _graph_lattice(
-            (1, 2, 3, 2, 1, 2, 1),
-            [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 5, 1), (5, 6, 1)],
+        gram = _graph_gram(
+            c, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 5, 1), (5, 6, 1)]
         )
     elif kind == "III*":
-        edges = [(i, i + 1, 1) for i in range(6)] + [(3, 7, 1)]
-        mult, gram = _graph_lattice((1, 2, 3, 4, 3, 2, 1, 2), edges)
+        gram = _graph_gram(c, [(i, i + 1, 1) for i in range(6)] + [(3, 7, 1)])
     else:  # II*
-        edges = [(i, i + 1, 1) for i in range(7)] + [(5, 8, 1)]
-        mult, gram = _graph_lattice((1, 2, 3, 4, 5, 6, 4, 2, 3), edges)
-    return FibreLattice(ft, len(mult), mult, gram)
+        gram = _graph_gram(c, [(i, i + 1, 1) for i in range(7)] + [(5, 8, 1)])
+    return FibreLattice(ft, c, mult, gram)
 
 
 def reduced_pairing(ft: KodairaType) -> IntMatrix:
@@ -136,10 +176,13 @@ def reduced_pairing(ft: KodairaType) -> IntMatrix:
 
 
 def discriminant_group(ft: KodairaType) -> DivisibleGroup:
-    """Discriminant group of the component lattice modulo its radical."""
-    pairing = reduced_pairing(ft)
-    dec = smith_normal_form(pairing)
-    return DivisibleGroup(0, dec.invariant_factors())
+    """Discriminant group of the component lattice modulo its radical,
+    read off the root-lattice type (see the module docstring)."""
+    if ft.kind == "I":
+        return DivisibleGroup.cyclic(ft.index)
+    if ft.kind == "I*":
+        return DivisibleGroup(0, (4,) if ft.index % 2 else (2, 2))
+    return DivisibleGroup(0, _FIXED_TYPES[ft.kind][1])
 
 
 def sha_punctured_transverse(ft: KodairaType) -> DivisibleGroup:

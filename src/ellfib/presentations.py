@@ -231,11 +231,16 @@ def presentation_from_dict(data: dict) -> tuple[tuple[str, str], CollisionPresen
 
 
 def load_presentation_file(path) -> tuple[tuple[str, str], CollisionPresentation]:
+    """Read one presentation file; bad presentation data raises
+    PresentationInconsistent naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise PresentationInconsistent(f"{path}: expected a JSON object")
-    return presentation_from_dict(data)
+        raise PresentationInconsistent(f"expected a JSON object in {path}")
+    try:
+        return presentation_from_dict(data)
+    except PresentationInconsistent as exc:
+        raise PresentationInconsistent(f"{exc} in {path}") from exc
 
 
 class PresentationStore:

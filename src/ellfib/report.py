@@ -133,7 +133,6 @@ class AnalysisReport:
 def _branch_report(name: str, profile: ValuationProfile) -> tuple[BranchReport, BranchGerm]:
     minimal, twists = minimalize(profile)
     ft = classify(minimal)
-    lat = kodaira.lattice_data(ft)
     disc = kodaira.discriminant_group(ft)
     sha = kodaira.sha_punctured_transverse(ft)
     rep = BranchReport(
@@ -143,8 +142,8 @@ def _branch_report(name: str, profile: ValuationProfile) -> tuple[BranchReport, 
         minimal_profile=minimal.as_tuple(),
         fibre_type=str(ft),
         j_valuation=j_valuation(minimal),
-        component_count=lat.component_count,
-        multiplicities=lat.multiplicities,
+        component_count=kodaira.component_count(ft),
+        multiplicities=kodaira.multiplicities(ft),
         discriminant_group=disc.render(),
         sha_punctured=sha.render(),
     )

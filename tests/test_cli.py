@@ -5,6 +5,7 @@ import json
 import pathlib
 
 from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, main
+from ellfib.kodaira import MAX_LATTICE_COMPONENTS
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -52,6 +53,17 @@ def test_lattice_command():
     assert "multiplicities: 1 1" in out
     assert "euler number: 2" in out
     assert "discriminant group: Z/2" in out
+
+
+def test_lattice_command_refuses_huge_types(capsys):
+    for text, count in (("I1001", 1001), ("I996*", 1001), ("I100000000", 100000000)):
+        rc, out = run("lattice", text)
+        assert rc == EXIT_ENGINE
+        assert out == ""
+        assert _single_error_line(capsys) == (
+            f"error: LatticeTooLarge: {text} has {count} components; lattice "
+            f"data is built for at most {MAX_LATTICE_COMPONENTS} (MAX_LATTICE_COMPONENTS)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +130,7 @@ def test_sha_punctured_command():
     assert run("sha-punctured", "I3") == (EXIT_OK, "(Q/Z)^1 + Z/3\n")
     assert run("sha-punctured", "II") == (EXIT_OK, "0\n")
     assert run("sha-punctured", "I0*") == (EXIT_OK, "Z/2 + Z/2\n")
+    assert run("sha-punctured", "I100000000") == (EXIT_OK, "(Q/Z)^1 + Z/100000000\n")
 
 
 def test_corank_command(capsys):
@@ -206,6 +219,21 @@ def test_report_malformed_presentation_directory(tmp_path, capsys):
     assert rc == EXIT_INPUT
     assert out == ""
     assert _single_error_line(capsys) == f"error: line 1, col 11: Expecting value in {bad}"
+
+
+def test_report_bad_presentation_data_names_file(tmp_path, capsys):
+    pres = tmp_path / "presentations"
+    pres.mkdir()
+    good = json.loads((CORPUS / "presentations" / "i2_i0star.json").read_text(encoding="utf-8"))
+    good["central_multiplicities"] = [1, 1, 2, 2, 1]
+    bad = pres / "short.json"
+    bad.write_text(json.dumps(good), encoding="utf-8")
+    rc, out = run("report", str(CORPUS / "i2_i0star.fib"), "--presentations", str(pres))
+    assert rc == EXIT_ENGINE
+    assert out == ""
+    line = _single_error_line(capsys)
+    assert line.startswith("error: PresentationInconsistent: ")
+    assert line.endswith(f" in {bad}")
 
 
 def test_report_input_not_utf8(tmp_path, capsys):

@@ -1,22 +1,25 @@
 """Tests for fibre component lattices, discriminant groups and the
 punctured transverse Tate-Shafarevich table.
 
-The discriminant groups are checked against a hard-coded expected table,
-and additionally against an independent invariant: the order of the
-group must equal |det| of the reduced pairing.
+The closed-form discriminant groups are checked against a hard-coded
+expected table, against the Smith form of the reduced pairing for every
+type of index up to 50, and against an independent invariant: the order
+of the group must equal |det| of the reduced pairing.
 """
 
 import pytest
 
-from ellfib.errors import LengthMismatch
-from ellfib.exact_linalg import DivisibleGroup, IntMatrix
+from ellfib.errors import LatticeTooLarge, LengthMismatch
+from ellfib.exact_linalg import DivisibleGroup, IntMatrix, smith_normal_form
 from ellfib.kodaira import (
+    MAX_LATTICE_COMPONENTS,
     FibreLattice,
     component_count,
     discriminant_group,
     euler_number,
     fibre_degree_gcd,
     lattice_data,
+    multiplicities,
     reduced_pairing,
     sha_punctured_transverse,
 )
@@ -152,6 +155,45 @@ def test_discriminant_group_order_equals_reduced_pairing_det():
         assert pairing.rows == pairing.cols == component_count(ft) - 1
         det = _det_laplace(pairing.to_rows())
         assert abs(det) == discriminant_group(ft).order()
+
+
+ORACLE_TYPES = types_with_index_up_to(50, include_smooth=True)
+
+
+def test_discriminant_group_closed_form_matches_smith_oracle():
+    for ft in ORACLE_TYPES:
+        oracle = DivisibleGroup(0, smith_normal_form(reduced_pairing(ft)).invariant_factors())
+        assert discriminant_group(ft) == oracle, f"discriminant group of {ft}"
+
+
+def test_component_data_closed_form_matches_lattice_data():
+    for ft in ORACLE_TYPES:
+        lat = lattice_data(ft)
+        assert component_count(ft) == lat.component_count, str(ft)
+        assert multiplicities(ft) == lat.multiplicities, str(ft)
+
+
+def test_closed_forms_on_huge_index():
+    ft = KodairaType("I", 10**8)
+    assert component_count(ft) == 10**8
+    assert discriminant_group(ft) == DivisibleGroup.cyclic(10**8)
+    assert component_count(KodairaType("I*", 10**8 + 1)) == 10**8 + 6
+    assert discriminant_group(KodairaType("I*", 10**8 + 1)) == DivisibleGroup.cyclic(4)
+    assert discriminant_group(KodairaType("I*", 10**8)) == DivisibleGroup(0, (2, 2))
+
+
+def test_lattice_data_component_limit():
+    at_limit = KodairaType("I", MAX_LATTICE_COMPONENTS)
+    assert lattice_data(at_limit).component_count == MAX_LATTICE_COMPONENTS
+    for ft in (
+        KodairaType("I", MAX_LATTICE_COMPONENTS + 1),
+        KodairaType("I*", MAX_LATTICE_COMPONENTS - 4),
+        KodairaType("I", 10**8),
+    ):
+        with pytest.raises(LatticeTooLarge, match=str(MAX_LATTICE_COMPONENTS)):
+            lattice_data(ft)
+        with pytest.raises(LatticeTooLarge):
+            reduced_pairing(ft)
 
 
 def test_sha_punctured_transverse_table():

@@ -3,7 +3,7 @@
 import json
 import pathlib
 
-from ellfib import poly
+from ellfib import kodaira, poly
 from ellfib.parser import FibrationDescription, parse_description
 from ellfib.report import (
     ALL_IRREDUCIBLE_NOTE,
@@ -43,6 +43,55 @@ def test_branch_reports_for_transverse_collision():
     assert d0.discriminant_group == "Z/2 + Z/2"
     assert d0.sha_punctured == "Z/2 + Z/2"
     assert d0.j_valuation == 0
+
+
+EVERY_KIND = (
+    "[branch S] va=0 vb=0 vdelta=0\n"
+    "[branch N5] va=0 vb=0 vdelta=5\n"
+    "[branch D1] va=2 vb=3 vdelta=7\n"
+    "[branch C] va=1 vb=1 vdelta=2\n"
+    "[branch T] va=1 vb=2 vdelta=3\n"
+    "[branch F] va=2 vb=2 vdelta=4\n"
+    "[branch Fs] va=3 vb=4 vdelta=8\n"
+    "[branch Ts] va=3 vb=5 vdelta=9\n"
+    "[branch Cs] va=4 vb=5 vdelta=10\n"
+    "[collision] N5 D1\n"
+)
+
+
+def test_branch_reports_need_no_lattice_or_smith_form(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("branch reports must not build lattices or Smith forms")
+
+    monkeypatch.setattr(kodaira, "smith_normal_form", forbidden)
+    monkeypatch.setattr(kodaira, "lattice_data", forbidden)
+    for rep in (
+        _analyze_file("i2_i0star.fib"),
+        _analyze_file("mixed_reduction.fib"),
+        analyze(parse_description(EVERY_KIND)),
+    ):
+        assert not rep.has_errors
+        render_text(rep)
+        render_json(rep)
+    by_name = {b.name: b for b in rep.branches}
+    assert [b.fibre_type for b in rep.branches] == [
+        "I0", "I5", "I1*", "II", "III", "IV", "IV*", "III*", "II*"
+    ]
+    assert by_name["D1"].discriminant_group == "Z/4"
+    assert by_name["D1"].multiplicities == (1, 1, 1, 1, 2, 2)
+    assert by_name["Cs"].discriminant_group == "0"
+    assert by_name["Cs"].component_count == 9
+
+
+def test_branch_of_large_index():
+    rep = analyze(parse_description("[branch A] va=0 vb=0 vdelta=3000\n"))
+    assert not rep.has_errors
+    (b,) = rep.branches
+    assert b.fibre_type == "I3000"
+    assert b.component_count == 3000
+    assert b.multiplicities == (1,) * 3000
+    assert b.discriminant_group == "Z/3000"
+    assert b.sha_punctured == "(Q/Z)^1 + Z/3000"
 
 
 def test_leaf_report_uses_registry_presentation():
