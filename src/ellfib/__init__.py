@@ -54,12 +54,10 @@ from .weierstrass import (
     ValuationProfile,
     WeierstrassPolyModel,
     axis_profile,
-    branch_valuation,
     classify,
     discriminant,
     j_valuation,
     minimalize,
-    origin_multiplicity,
 )
 
 __version__ = "0.1.0"

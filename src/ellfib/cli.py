@@ -8,6 +8,7 @@ collisions, bad presentation data, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import kodaira, report as report_mod
@@ -164,9 +165,10 @@ def _cmd_delta_gcd(args, out) -> int:
 def _cmd_report(args, out) -> int:
     import os
 
-    with naming_input(args.input), open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    description = parse_description(text)
+    with naming_input(args.input):
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        description = parse_description(text)
     store = PresentationStore()
     if args.presentations:
         store.load_directory(args.presentations)
@@ -183,6 +185,7 @@ def _cmd_report(args, out) -> int:
     return EXIT_ENGINE if result.has_errors else EXIT_OK
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ellfib",

@@ -74,7 +74,8 @@ class AllZero(FibrationError):
 
 
 class Diagnostic:
-    """One positioned message attached to an input file."""
+    """One message attached to an input file, positioned unless line is
+    None."""
 
     __slots__ = ("line", "column", "message")
 
@@ -84,6 +85,8 @@ class Diagnostic:
         self.message = message
 
     def __str__(self) -> str:
+        if self.line is None:
+            return self.message
         return f"line {self.line}, col {self.column}: {self.message}"
 
     def __repr__(self) -> str:
@@ -117,11 +120,17 @@ class ValidationError(FibrationError):
 
 @contextmanager
 def naming_input(path):
-    """Turn a JSON or UTF-8 decoding failure inside the block into a
-    ParseError naming `path`.  Files must be read whole, so that the
-    decoder's byte offset is an offset into the file."""
+    """Make every input fault inside the block name `path`: the
+    diagnostics of a ParseError or ValidationError, and a JSON or UTF-8
+    decoding failure or an integer literal that int() refuses as too
+    long, each turned into a ParseError.  Files must be read whole, so
+    that the decoder's byte offset is an offset into the file."""
     try:
         yield
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(
+            Diagnostic(d.line, d.column, f"{d.message} in {path}") for d in exc.diagnostics
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ParseError([Diagnostic(exc.lineno, exc.colno, f"{exc.msg} in {path}")]) from exc
     except UnicodeDecodeError as exc:
@@ -130,3 +139,8 @@ def naming_input(path):
         line = raw.count(b"\n", 0, start) + 1
         column = len(raw[start:exc.start].decode("utf-8")) + 1
         raise ParseError([Diagnostic(line, column, f"not valid UTF-8 in {path}")]) from exc
+    except ValueError as exc:
+        # json reads numbers with int(), which gives no position; drop
+        # its advice to raise sys.set_int_max_str_digits()
+        reason = str(exc).split(";")[0]
+        raise ParseError([Diagnostic(None, None, f"{reason} in {path}")]) from exc

@@ -21,13 +21,15 @@ between factors and '^' for powers.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import poly
 from .errors import DegenerateModel, Diagnostic, ParseError, ValidationError
-from .weierstrass import INFINITY, WeierstrassPolyModel, discriminant
+from .weierstrass import INFINITY, WeierstrassPolyModel
 
 __all__ = [
     "BranchDecl",
@@ -73,7 +75,7 @@ _TOKEN = re.compile(r"\s*(\d+|[st^*+/()-])")
 
 
 def parse_polynomial(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly:
-    """Parse infix polynomial text into the sparse representation.
+    """Parse infix polynomial text into int (for ratios, Fraction) terms.
 
     Grammar:  poly  := [-] term ((+|-) term)*
               term  := factor (* factor)*
@@ -107,7 +109,7 @@ def parse_polynomial(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly
         idx += 1
         return tok
 
-    def parse_factor() -> tuple[Fraction, int, int]:
+    def parse_factor() -> tuple[int | Fraction, int, int]:
         tok = peek()
         if tok is None:
             fail("expected a coefficient or variable")
@@ -123,7 +125,7 @@ def parse_polynomial(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly
                 if int(den) == 0:
                     fail("zero denominator")
                 return Fraction(num, int(den)), 0, 0
-            return Fraction(num), 0, 0
+            return num, 0, 0
         if tok in ("s", "t"):
             take()
             exp = 1
@@ -134,7 +136,7 @@ def parse_polynomial(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly
                     fail("expected an integer exponent after '^'")
                 take()
                 exp = int(e)
-            return (Fraction(1), exp, 0) if tok == "s" else (Fraction(1), 0, exp)
+            return (1, exp, 0) if tok == "s" else (1, 0, exp)
         fail(f"unexpected token {tok!r} in polynomial")
 
     def parse_term() -> poly.Poly:
@@ -178,9 +180,19 @@ _WEIERSTRASS = re.compile(r"^\s*a\s*=\s*(.+?)\s+b\s*=\s*(.+?)\s*$")
 def _parse_valuation(text: str):
     if text.lower() in ("inf", "infinity"):
         return INFINITY
-    if text.isdigit():
+    if text.isdecimal():
         return int(text)
     return None
+
+
+def _integral(a: poly.Poly, b: poly.Poly) -> WeierstrassPolyModel:
+    """(lam^4 a, lam^6 b) with lam the lcm of all denominators: an isomorphic
+    model with int coefficients, the same valuations and Delta * lam^12."""
+    lam = math.lcm(*(c.denominator for c in (*a.values(), *b.values())))
+    return WeierstrassPolyModel(
+        {e: c.numerator * (lam**4 // c.denominator) for e, c in a.items()},
+        {e: c.numerator * (lam**6 // c.denominator) for e, c in b.items()},
+    )
 
 
 def _strip_comment(line: str) -> str:
@@ -198,14 +210,26 @@ def parse_description(text: str) -> FibrationDescription:
     syntax: list[Diagnostic] = []
     branches: list[BranchDecl] = []
     collisions: list[CollisionDecl] = []
-    model: WeierstrassPolyModel | None = None
+    coeffs: tuple[poly.Poly, poly.Poly] | None = None
     model_line = 0
     topology: tuple[int, int, int, int] | None = None
     degrees: tuple[int, ...] | None = None
+    # int() refuses literals longer than this (0: no limit); the
+    # lookbehind tries each run of digits once, so the scan stays linear
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = re.compile(rf"(?<!\d)\d{{{limit + 1},}}") if limit else None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line.strip():
+            continue
+        long_literal = too_long and too_long.search(line)
+        if long_literal:
+            digits = long_literal.end() - long_literal.start()
+            syntax.append(Diagnostic(
+                lineno, long_literal.start() + 1,
+                f"integer literal of {digits} digits exceeds the limit of {limit}",
+            ))
             continue
         m = _SECTION.match(line)
         if not m:
@@ -264,10 +288,10 @@ def parse_description(text: str) -> FibrationDescription:
             except ParseError as exc:
                 syntax.extend(exc.diagnostics)
                 continue
-            if model is not None:
+            if coeffs is not None:
                 syntax.append(Diagnostic(lineno, len(indent) + 2, "only one [weierstrass] model is allowed"))
                 continue
-            model = WeierstrassPolyModel(a, b)
+            coeffs = (a, b)
             model_line = lineno
 
         elif section == "collision":
@@ -287,7 +311,7 @@ def parse_description(text: str) -> FibrationDescription:
         elif section == "topology":
             vals = dict(kv.groups() for kv in _KEYVAL.finditer(payload))
             keys = ("b2_X", "rho_X", "b2_S", "rho_S")
-            if sorted(vals) != sorted(keys) or not all(v.isdigit() for v in vals.values()):
+            if sorted(vals) != sorted(keys) or not all(v.isdecimal() for v in vals.values()):
                 syntax.append(Diagnostic(
                     lineno, payload_col + 1,
                     "[topology] needs b2_X, rho_X, b2_S, rho_S as nonnegative integers",
@@ -309,11 +333,11 @@ def parse_description(text: str) -> FibrationDescription:
         raise ParseError(syntax)
 
     semantic: list[Diagnostic] = []
-    if model is not None and branches:
+    if coeffs is not None and branches:
         semantic.append(Diagnostic(
             model_line, 1, "[weierstrass] and [branch] modes cannot be mixed"
         ))
-    if model is None and not branches:
+    if coeffs is None and not branches:
         semantic.append(Diagnostic(1, 1, "no branches declared: need [branch] lines or a [weierstrass] model"))
 
     seen: dict[str, int] = {}
@@ -324,9 +348,10 @@ def parse_description(text: str) -> FibrationDescription:
         if b.name in AXIS_BRANCH_NAMES:
             semantic.append(Diagnostic(b.line, 1, f"branch name {b.name!r} is reserved for polynomial mode"))
 
-    if model is not None:
+    model: WeierstrassPolyModel | None = None
+    if coeffs is not None:
         try:
-            discriminant(model)
+            model = _integral(*coeffs)
         except DegenerateModel as exc:
             semantic.append(Diagnostic(model_line, 1, str(exc)))
         declared = set(AXIS_BRANCH_NAMES)
@@ -336,7 +361,7 @@ def parse_description(text: str) -> FibrationDescription:
     for c in collisions:
         for side in (c.left, c.right):
             if side not in declared:
-                hint = " (polynomial mode branches are 's-axis' and 't-axis')" if model is not None else ""
+                hint = " (polynomial mode branches are 's-axis' and 't-axis')" if coeffs is not None else ""
                 semantic.append(Diagnostic(
                     c.line, 1, f"collision references undeclared branch {side!r}{hint}"
                 ))

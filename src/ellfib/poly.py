@@ -1,20 +1,20 @@
 """Sparse exact polynomials in two variables s, t.
 
 A polynomial is a dict mapping exponent pairs (es, et) to nonzero
-Fraction coefficients; the zero polynomial is the empty dict.  Keeping
-the representation canonical (no zero coefficients stored) makes
-equality plain dict equality.
+exact coefficients, int or Fraction, kept as given; the zero polynomial
+is the empty dict.  Keeping the representation canonical (no zero
+coefficients stored) makes equality plain dict equality.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from numbers import Rational
 from typing import Dict, Tuple
 
 from .errors import ZeroPolynomial
 
 Exponent = Tuple[int, int]
-Poly = Dict[Exponent, Fraction]
+Poly = Dict[Exponent, Rational]
 
 
 def zero() -> Poly:
@@ -22,12 +22,11 @@ def zero() -> Poly:
 
 
 def monomial(coeff, es: int = 0, et: int = 0) -> Poly:
-    c = Fraction(coeff)
-    if c == 0:
+    if coeff == 0:
         return {}
     if es < 0 or et < 0:
         raise ValueError("exponents must be nonnegative")
-    return {(es, et): c}
+    return {(es, et): coeff}
 
 
 def const(coeff) -> Poly:
@@ -41,7 +40,7 @@ def is_zero(p: Poly) -> bool:
 def add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for e, c in q.items():
-        s = out.get(e, Fraction(0)) + c
+        s = out.get(e, 0) + c
         if s:
             out[e] = s
         else:
@@ -58,10 +57,9 @@ def sub(p: Poly, q: Poly) -> Poly:
 
 
 def scale(p: Poly, coeff) -> Poly:
-    c = Fraction(coeff)
-    if c == 0:
+    if coeff == 0:
         return {}
-    return {e: cc * c for e, cc in p.items()}
+    return {e: c * coeff for e, c in p.items()}
 
 
 def mul(p: Poly, q: Poly) -> Poly:
@@ -69,7 +67,7 @@ def mul(p: Poly, q: Poly) -> Poly:
     for (a1, a2), c in p.items():
         for (b1, b2), d in q.items():
             e = (a1 + b1, a2 + b2)
-            s = out.get(e, Fraction(0)) + c * d
+            s = out.get(e, 0) + c * d
             if s:
                 out[e] = s
             else:
@@ -80,8 +78,8 @@ def mul(p: Poly, q: Poly) -> Poly:
 def power(p: Poly, n: int) -> Poly:
     if n < 0:
         raise ValueError("negative power")
-    out = const(1)
-    for _ in range(n):
+    out = const(1) if n == 0 else p
+    for _ in range(n - 1):
         out = mul(out, p)
     return out
 

@@ -229,11 +229,8 @@ def analyze(
 
     declared = []
     if d.mode == "weierstrass":
-        try:
-            declared = [(name, axis_profile(d.model, axis))
-                        for name, axis in zip(AXIS_BRANCH_NAMES, ("s", "t"))]
-        except FibrationError as exc:
-            report.errors.append(ErrorEntry("model", type(exc).__name__, str(exc)))
+        declared = [(name, axis_profile(d.model, axis))
+                    for name, axis in zip(AXIS_BRANCH_NAMES, ("s", "t"))]
     else:
         for b in d.branches:
             try:

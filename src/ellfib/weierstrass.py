@@ -15,10 +15,10 @@ infinite, since then Delta would vanish identically too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import poly
-from .errors import DegenerateModel, InvalidProfile, NotMinimal, ZeroPolynomial
+from .errors import DegenerateModel, InvalidProfile, NotMinimal
 
 INFINITY = float("inf")
 
@@ -184,11 +184,15 @@ def j_valuation(p: ValuationProfile):
 @dataclass(frozen=True)
 class WeierstrassPolyModel:
     """A global model y^2 = x^3 + a(s, t) x + b(s, t) with exact rational
-    coefficients.  The coordinate axes {s = 0} and {t = 0} are the
-    branches along which profiles are extracted."""
+    coefficients and its discriminant delta, built once.  The coordinate
+    axes {s = 0} and {t = 0} are the branches along which profiles are read."""
 
     a: poly.Poly
     b: poly.Poly
+    delta: poly.Poly = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "delta", discriminant(self))
 
 
 def discriminant(model: WeierstrassPolyModel) -> poly.Poly:
@@ -202,19 +206,8 @@ def discriminant(model: WeierstrassPolyModel) -> poly.Poly:
     return delta
 
 
-def branch_valuation(f: poly.Poly, axis: str) -> int:
-    """Valuation of f along a coordinate axis: the largest k with s^k
-    (axis "s") or t^k (axis "t") dividing f."""
-    return poly.axis_valuation(f, axis)
-
-
-def origin_multiplicity(f: poly.Poly) -> int:
-    return poly.origin_multiplicity(f)
-
-
 def axis_profile(model: WeierstrassPolyModel, axis: str) -> ValuationProfile:
     """Valuation profile of the model along one coordinate axis."""
-    delta = discriminant(model)
-    va = INFINITY if poly.is_zero(model.a) else branch_valuation(model.a, axis)
-    vb = INFINITY if poly.is_zero(model.b) else branch_valuation(model.b, axis)
-    return ValuationProfile(va, vb, branch_valuation(delta, axis))
+    va = INFINITY if poly.is_zero(model.a) else poly.axis_valuation(model.a, axis)
+    vb = INFINITY if poly.is_zero(model.b) else poly.axis_valuation(model.b, axis)
+    return ValuationProfile(va, vb, poly.axis_valuation(model.delta, axis))

@@ -49,7 +49,6 @@ from ellfib.weierstrass import (
     ValuationProfile,
     WeierstrassPolyModel,
     axis_profile,
-    branch_valuation,
     classify,
     discriminant,
     j_valuation,
@@ -339,7 +338,7 @@ def test_criterion_09_polynomial_front_end():
         delta = discriminant(model)
         for axis, pa, pb in (("s", p1, q1), ("t", p2, q2)):
             expected_vdelta = min(3 * pa, 2 * pb)
-            assert branch_valuation(delta, axis) == expected_vdelta
+            assert poly.axis_valuation(delta, axis) == expected_vdelta
             profile = axis_profile(model, axis)
             assert profile.as_tuple() == (pa, pb, expected_vdelta)
             assert j_valuation(profile) == 3 * pa - expected_vdelta

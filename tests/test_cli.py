@@ -3,8 +3,11 @@
 import io
 import json
 import pathlib
+import sys
 
-from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, main
+import pytest
+
+from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, build_arg_parser, main
 from ellfib.kodaira import MAX_LATTICE_COMPONENTS
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -260,3 +263,78 @@ def test_report_engine_error(tmp_path):
     parsed = json.loads(out)
     assert parsed["errors"]
     assert parsed["collisions"][0]["status"] == "error"
+
+
+def test_argument_parser_is_built_once():
+    assert build_arg_parser() is build_arg_parser()
+
+
+def test_report_degenerate_model_is_one_error_line(tmp_path, capsys):
+    # a = -3 s^2, b = 2 s^3 gives 4 a^3 + 27 b^2 = 0, so no model exists
+    # and the file is rejected before any analysis
+    bad = tmp_path / "degenerate.fib"
+    bad.write_text("[weierstrass] a = -3*s^2 b = 2*s^3\n", encoding="utf-8")
+    rc, out = run("report", str(bad), "--format", "json")
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert _single_error_line(capsys) == (
+        f"error: line 1, col 1: discriminant 4 a^3 + 27 b^2 vanishes identically in {bad}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# integer literals longer than int() converts (sys.get_int_max_str_digits)
+
+
+def _overlong_literal() -> str:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integer literals of any length")
+    return "7" * (limit + 1)
+
+
+def test_report_overlong_integer_literal(tmp_path, capsys):
+    big = _overlong_literal()
+    bad = tmp_path / "long.fib"
+    for text, col in (
+        (f"[branch A] va=0 vb=0 vdelta={big}\n", 29),  # valuation
+        (f"[weierstrass] a = s^{big} b = t\n", 21),  # exponent
+        (f"[weierstrass] a = s b = {big}*t\n", 25),  # coefficient
+    ):
+        bad.write_text("# long\n" + text, encoding="utf-8")
+        rc, out = run("report", str(bad))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert _single_error_line(capsys) == (
+            f"error: line 2, col {col}: integer literal of {len(big)} digits "
+            f"exceeds the limit of {len(big) - 1} in {bad}"
+        )
+
+
+def _overlong_presentation(path: pathlib.Path, big: str) -> None:
+    data = json.loads((CORPUS / "presentations" / "i2_i0star.json").read_text(encoding="utf-8"))
+    text = json.dumps(data).replace('"central_multiplicities": [1,', f'"central_multiplicities": [{big},')
+    assert big in text
+    path.write_text(text, encoding="utf-8")
+
+
+def test_sha_local_overlong_integer_literal(tmp_path, capsys):
+    big = _overlong_literal()
+    bad = tmp_path / "long.json"
+    _overlong_presentation(bad, big)
+    rc, out = run("sha-local", str(bad))
+    assert (rc, out) == (EXIT_INPUT, "")
+    line = _single_error_line(capsys)
+    assert line.startswith("error: ") and line.endswith(f" in {bad}")
+    assert f"{len(big)} digits" in line
+
+
+def test_report_overlong_integer_in_presentation_directory(tmp_path, capsys):
+    big = _overlong_literal()
+    pres = tmp_path / "presentations"
+    pres.mkdir()
+    bad = pres / "long.json"
+    _overlong_presentation(bad, big)
+    rc, out = run("report", str(CORPUS / "i2_i0star.fib"), "--presentations", str(pres))
+    assert (rc, out) == (EXIT_INPUT, "")
+    line = _single_error_line(capsys)
+    assert line.startswith("error: ") and line.endswith(f" in {bad}")
+    assert f"{len(big)} digits" in line

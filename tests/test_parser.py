@@ -2,6 +2,8 @@
 diagnostics, semantic validation and the canonical renderer."""
 
 import pathlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +17,7 @@ from ellfib.parser import (
     parse_polynomial,
     render_description,
 )
-from ellfib.weierstrass import INFINITY
+from ellfib.weierstrass import INFINITY, WeierstrassPolyModel, axis_profile
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -29,10 +31,15 @@ def test_parse_polynomial_forms():
     assert parse_polynomial("s") == s
     assert parse_polynomial("-s + 1") == poly.add(poly.neg(s), poly.const(1))
     assert parse_polynomial("2*s^3*t") == poly.monomial(2, 3, 1)
-    assert parse_polynomial("1/2*t^2") == poly.monomial("1/2", 0, 2)
+    assert parse_polynomial("1/2*t^2") == poly.monomial(Fraction(1, 2), 0, 2)
     assert parse_polynomial("s*s*s") == poly.monomial(1, 3, 0)
     assert parse_polynomial("3 - 3") == poly.zero()
     assert parse_polynomial("+t") == poly.monomial(1, 0, 1)
+
+
+def test_parse_polynomial_keeps_integers_int():
+    assert {type(c) for c in parse_polynomial("2*s^3*t - 5 + s").values()} == {int}
+    assert {type(c) for c in parse_polynomial("1/2*t^2 + 3/3*s").values()} == {Fraction}
 
 
 def test_parse_polynomial_errors_are_positioned():
@@ -87,6 +94,18 @@ def test_parse_infinite_valuations():
     with pytest.raises(ParseError) as info:
         parse_description("[branch A] va=0 vb=0 vdelta=inf\n")
     assert "vdelta cannot be inf" in str(info.value)
+
+
+def test_digits_int_cannot_read_are_diagnosed():
+    # '²' passes str.isdigit() but int() refuses it
+    with pytest.raises(ParseError) as info:
+        parse_description("[branch A] va=\u00b2 vb=0 vdelta=0\n")
+    assert "va must be a nonnegative integer or inf" in str(info.value)
+    with pytest.raises(ParseError) as info:
+        parse_description(
+            "[branch A] va=0 vb=0 vdelta=1\n[topology] b2_X=\u00b2 rho_X=1 b2_S=1 rho_S=1\n"
+        )
+    assert "[topology] needs" in str(info.value)
 
 
 def test_parse_collision_with_presentation():
@@ -197,6 +216,51 @@ def test_weierstrass_polynomial_error_position():
     assert diag.line == 1
     assert diag.column == 21  # right after the dangling '^'
     assert "exponent" in diag.message
+
+
+def test_weierstrass_model_is_made_integral():
+    d = parse_description((CORPUS / "rational_cancel.fib").read_text(encoding="utf-8"))
+    # lam = 4: a = 4^4 * (-3/4 s^2), b = 4^6 * (1/4 s^3 + s^4)
+    assert d.model.a == {(2, 0): -192}
+    assert d.model.b == {(3, 0): 1024, (4, 0): 4096}
+    assert render_description(d) == "[weierstrass] a = -192*s^2 b = 4096*s^4 + 1024*s^3\n"
+
+
+def _ratio_poly(rng: random.Random, terms: int) -> poly.Poly:
+    p = poly.zero()
+    for _ in range(terms):
+        c = Fraction(rng.choice([x for x in range(-9, 10) if x]), rng.choice((1, 2, 3, 4, 6, 9)))
+        p = poly.add(p, poly.monomial(c, rng.randrange(3), rng.randrange(3)))
+    return p
+
+
+def test_denominator_clearing_oracle():
+    # The parsed model has int coefficients; its axis profiles must equal
+    # those of the model built on the original Fraction polynomials, and
+    # its discriminant must be a constant multiple of theirs.  Odd cases
+    # use a = -3 w^2, b = 2 w^3 + r, so 4 a^3 and 27 b^2 cancel in their
+    # leading terms whenever v(r) > 3 v(w).
+    rng = random.Random(1018)
+    cancelled = 0
+    for i in range(80):
+        w = _ratio_poly(rng, rng.randint(1, 3))
+        r = poly.mul(poly.monomial(Fraction(1, rng.choice((1, 5, 8))), 1, 1), _ratio_poly(rng, 2))
+        if i % 2:
+            a = poly.scale(poly.mul(w, w), -3)
+            b = poly.add(poly.scale(poly.power(w, 3), 2), r)
+        else:
+            a, b = w, r
+        text = f"[weierstrass] a = {poly.render(a)} b = {poly.render(b)}\n"
+        oracle = WeierstrassPolyModel(a, b)
+        model = parse_description(text).model
+        assert {type(c) for p in (model.a, model.b) for c in p.values()} <= {int}
+        assert model.delta.keys() == oracle.delta.keys()
+        assert len({Fraction(model.delta[e], oracle.delta[e]) for e in model.delta}) == 1
+        for axis in ("s", "t"):
+            profile = axis_profile(model, axis)
+            assert profile == axis_profile(oracle, axis), (text, axis)
+            cancelled += profile.vdelta > min(3 * profile.va, 2 * profile.vb)
+    assert cancelled >= 10
 
 
 # ---------------------------------------------------------------------------

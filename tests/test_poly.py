@@ -43,6 +43,7 @@ def test_power():
         (0, 0): Fraction(1),
     }
     assert poly.power(s_plus_one, 0) == poly.const(1)
+    assert poly.power(s_plus_one, 1) == s_plus_one
     with pytest.raises(ValueError):
         poly.power(s_plus_one, -1)
 

@@ -3,8 +3,8 @@
 import json
 import pathlib
 
-from ellfib import kodaira, poly
-from ellfib.parser import FibrationDescription, parse_description
+from ellfib import kodaira, weierstrass
+from ellfib.parser import parse_description
 from ellfib.report import (
     ALL_IRREDUCIBLE_NOTE,
     PUNCTURED_HYPOTHESIS,
@@ -12,7 +12,6 @@ from ellfib.report import (
     render_json,
     render_text,
 )
-from ellfib.weierstrass import WeierstrassPolyModel
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -124,16 +123,28 @@ def test_weierstrass_mode_axis_branches():
     assert rep.summary.note == ALL_IRREDUCIBLE_NOTE
 
 
-def test_degenerate_model_is_one_error_entry():
-    # a = -3 s^2, b = 2 s^3 gives 4 a^3 + 27 b^2 = 0; the parser rejects
-    # such a model, so build the description directly
-    model = WeierstrassPolyModel(poly.monomial(-3, 2, 0), poly.monomial(2, 3, 0))
-    d = FibrationDescription("weierstrass", (), model, (), None, None)
-    doc = json.loads(render_json(analyze(d)))
-    assert doc["branches"] == []
-    assert [(e["subject"], e["kind"]) for e in doc["errors"]] == [
-        ("model", "DegenerateModel")
+def test_rational_model_with_cancelling_discriminant():
+    rep = _analyze_file("rational_cancel.fib")
+    assert not rep.has_errors
+    assert [(b.name, b.fibre_type, b.input_profile) for b in rep.branches] == [
+        ("s-axis", "I1*", (2, 3, 7)),
+        ("t-axis", "I0", (0, 0, 0)),
     ]
+
+
+def test_polynomial_report_builds_one_discriminant(monkeypatch):
+    built = []
+    real = weierstrass.discriminant
+
+    def counting(model):
+        built.append(model)
+        return real(model)
+
+    monkeypatch.setattr(weierstrass, "discriminant", counting)
+    rep = _analyze_file("axes_collision.fib")
+    render_json(rep)
+    render_text(rep)
+    assert len(built) == 1
 
 
 def test_weierstrass_axes_collision_dissolves():
