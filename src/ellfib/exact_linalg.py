@@ -1,11 +1,18 @@
 """Exact integer linear algebra over Z and Q/Z.
 
-Everything is built on Smith normal form.  A decomposition A = U * D * V
-with U, V unimodular and D diagonal with d1 | d2 | ... controls both the
-kernel and the cokernel of the map (Q/Z)^cols -> (Q/Z)^rows induced by A:
-every nonzero integer acts surjectively on Q/Z, so in Smith coordinates
-the image of the map is exactly "first rank(A) coordinates arbitrary" and
-the kernel is a sum of cyclic groups Z/d_i plus a divisible part.
+Everything rests on one elimination loop that brings a matrix to Smith
+normal form.  A decomposition A = U * D * V with U, V unimodular and D
+diagonal with d1 | d2 | ... controls both the kernel and the cokernel of
+the map (Q/Z)^cols -> (Q/Z)^rows induced by A: every nonzero integer
+acts surjectively on Q/Z, so in Smith coordinates the image of the map is
+exactly "first rank(A) coordinates arbitrary" and the kernel is a sum of
+cyclic groups Z/d_i plus a divisible part.
+
+Only qz_kernel (and induced_kernel's last step, which calls it) needs D
+alone; it runs the loop on a copy of the matrix and builds no transform.
+smith_normal_form mirrors each of the loop's elementary operations into
+U, V and their inverses; cokernel_chart, induced_kernel's cokernel
+coordinates and induced_kernel_with_witnesses use those transforms.
 
 All arithmetic is arbitrary-precision integers and fractions.Fraction;
 no floating point is used anywhere in this module.
@@ -199,12 +206,99 @@ def _identity_lists(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+# Elementary operations _diagonalize reports as record(kind, i, j, q):
+_ROW_ADD = 0  # row i += q * row j
+_ROW_SWAP = 1  # swap rows i and j
+_ROW_NEG = 2  # row i *= -1
+_COL_ADD = 3  # column i += q * column j
+_COL_SWAP = 4  # swap columns i and j
+
+
+def _ignore(kind: int, i: int, j: int, q: int) -> None:
+    pass
+
+
+def _diagonalize(d: list[list[int]], record=_ignore) -> int:
+    """Bring the list-of-rows matrix d into Smith normal form in place and
+    return its rank.
+
+    Pivots on an entry of minimal absolute value of the active lower-right
+    block until it divides the whole block.  Rows and columns before the
+    active block are zero outside the diagonal, so every operation touches
+    only the block.  Each elementary operation is reported to record, in
+    order, so a caller can mirror it onto transforms.
+    """
+    nr, nc = len(d), len(d[0]) if d else 0
+
+    def row_add(i: int, j: int, q: int) -> None:
+        di, dj = d[i], d[j]
+        for m in range(t, nc):
+            di[m] += q * dj[m]
+        record(_ROW_ADD, i, j, q)
+
+    def col_add(i: int, j: int, q: int) -> None:
+        for m in range(t, nr):
+            dm = d[m]
+            dm[i] += q * dm[j]
+        record(_COL_ADD, i, j, q)
+
+    t = 0
+    limit = min(nr, nc)
+    while t < limit:
+        # minimal nonzero entry of the active submatrix becomes the pivot
+        pi = pj = -1
+        best = 0
+        for i in range(t, nr):
+            di = d[i]
+            for j in range(t, nc):
+                e = di[j]
+                if e != 0 and (best == 0 or abs(e) < best):
+                    best = abs(e)
+                    pi, pj = i, j
+        if best == 0:
+            break
+        if pi != t:
+            d[t], d[pi] = d[pi], d[t]
+            record(_ROW_SWAP, t, pi, 0)
+        if pj != t:
+            for m in range(t, nr):
+                dm = d[m]
+                dm[t], dm[pj] = dm[pj], dm[t]
+            record(_COL_SWAP, t, pj, 0)
+        dt = d[t]
+        pivot = dt[t]
+        for i in range(t + 1, nr):
+            if d[i][t]:
+                row_add(i, t, -(d[i][t] // pivot))
+        for j in range(t + 1, nc):
+            if dt[j]:
+                col_add(j, t, -(dt[j] // pivot))
+        if any(d[i][t] for i in range(t + 1, nr)) or any(dt[t + 1 :]):
+            # leftovers are strictly smaller than the pivot; go again
+            continue
+        pivot = dt[t]
+        offender = -1
+        for i in range(t + 1, nr):
+            if any(e % pivot for e in d[i][t + 1 :]):
+                offender = i
+                break
+        if offender >= 0:
+            # pull the non-divisible row up; the next pass shrinks the pivot
+            row_add(t, offender, 1)
+            continue
+        if pivot < 0:
+            dt[t] = -pivot
+            record(_ROW_NEG, t, t, 0)
+        t += 1
+    return t
+
+
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form A = U * D * V over Z.
 
-    Diagonalizes by elementary row/column operations, always pivoting on
-    an entry of minimal absolute value, and mirrors every operation into
-    U, V and their inverses so that A = U * D * V holds throughout.
+    Diagonalizes a copy of A with _diagonalize and mirrors every
+    elementary operation into U, V and their inverses, so that
+    A = U * D * V holds throughout.
 
     Works for any shape including empty matrices.  Intended for the small
     systems in this library (tens of rows); entries may be arbitrarily
@@ -217,97 +311,41 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     v = _identity_lists(nc)
     v_inv = _identity_lists(nc)
 
-    def row_add(i: int, j: int, q: int) -> None:
-        # d[i] += q * d[j]; compensate U on the right by the inverse op.
-        di, dj = d[i], d[j]
-        for m in range(nc):
-            di[m] += q * dj[m]
-        for m in range(nr):
-            u[m][j] -= q * u[m][i]
-        uii, uji = u_inv[i], u_inv[j]
-        for m in range(nr):
-            uii[m] += q * uji[m]
+    def mirror(kind: int, i: int, j: int, q: int) -> None:
+        if kind == _ROW_ADD:
+            # compensate U on the right by the inverse op
+            for m in range(nr):
+                u[m][j] -= q * u[m][i]
+            uii, uji = u_inv[i], u_inv[j]
+            for m in range(nr):
+                uii[m] += q * uji[m]
+        elif kind == _COL_ADD:
+            vi, vj = v[i], v[j]
+            for m in range(nc):
+                vj[m] -= q * vi[m]
+            for m in range(nc):
+                v_inv[m][i] += q * v_inv[m][j]
+        elif kind == _ROW_SWAP:
+            for m in range(nr):
+                u[m][i], u[m][j] = u[m][j], u[m][i]
+            u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
+        elif kind == _COL_SWAP:
+            v[i], v[j] = v[j], v[i]
+            for m in range(nc):
+                v_inv[m][i], v_inv[m][j] = v_inv[m][j], v_inv[m][i]
+        else:
+            for m in range(nr):
+                u[m][i] = -u[m][i]
+            u_inv[i] = [-e for e in u_inv[i]]
 
-    def row_swap(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        for m in range(nr):
-            u[m][i], u[m][j] = u[m][j], u[m][i]
-        u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
-
-    def row_negate(i: int) -> None:
-        d[i] = [-e for e in d[i]]
-        for m in range(nr):
-            u[m][i] = -u[m][i]
-        u_inv[i] = [-e for e in u_inv[i]]
-
-    def col_add(j: int, i: int, q: int) -> None:
-        # column j += q * column i
-        for m in range(nr):
-            d[m][j] += q * d[m][i]
-        vi, vj = v[i], v[j]
-        for m in range(nc):
-            vi[m] -= q * vj[m]
-        for m in range(nc):
-            v_inv[m][j] += q * v_inv[m][i]
-
-    def col_swap(i: int, j: int) -> None:
-        for m in range(nr):
-            d[m][i], d[m][j] = d[m][j], d[m][i]
-        v[i], v[j] = v[j], v[i]
-        for m in range(nc):
-            v_inv[m][i], v_inv[m][j] = v_inv[m][j], v_inv[m][i]
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        # minimal nonzero entry of the active submatrix becomes the pivot
-        pi = pj = -1
-        best = 0
-        for i in range(t, nr):
-            for j in range(t, nc):
-                e = d[i][j]
-                if e != 0 and (best == 0 or abs(e) < best):
-                    best = abs(e)
-                    pi, pj = i, j
-        if best == 0:
-            break
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        pivot = d[t][t]
-        for i in range(t + 1, nr):
-            if d[i][t]:
-                row_add(i, t, -(d[i][t] // pivot))
-        for j in range(t + 1, nc):
-            if d[t][j]:
-                col_add(j, t, -(d[t][j] // pivot))
-        if any(d[i][t] for i in range(t + 1, nr)) or any(
-            d[t][j] for j in range(t + 1, nc)
-        ):
-            # leftovers are strictly smaller than the pivot; go again
-            continue
-        pivot = d[t][t]
-        offender = -1
-        for i in range(t + 1, nr):
-            if any(e % pivot for e in d[i][t + 1 :]):
-                offender = i
-                break
-        if offender >= 0:
-            # pull the non-divisible row up; the next pass shrinks the pivot
-            row_add(t, offender, 1)
-            continue
-        if pivot < 0:
-            row_negate(t)
-        t += 1
-
+    rank = _diagonalize(d, mirror)
     return SmithDecomposition(
         IntMatrix.from_rows(u, cols=nr),
         IntMatrix.from_rows(d, cols=nc),
         IntMatrix.from_rows(v, cols=nc),
         IntMatrix.from_rows(u_inv, cols=nr),
         IntMatrix.from_rows(v_inv, cols=nc),
-        t,
+        rank,
     )
 
 
@@ -400,8 +438,10 @@ def qz_kernel(b: IntMatrix) -> DivisibleGroup:
     kernel Z/d and by 0 has kernel all of Q/Z, so the answer is
     (Q/Z)^(cols - rank) + sum of Z/d_i over invariant factors d_i > 1.
     """
-    dec = smith_normal_form(b)
-    return DivisibleGroup(b.cols - dec.rank, dec.invariant_factors())
+    d = b.to_rows()
+    rank = _diagonalize(d)
+    factors = tuple(d[i][i] for i in range(rank) if d[i][i] > 1)
+    return DivisibleGroup(b.cols - rank, factors)
 
 
 @dataclass(frozen=True)

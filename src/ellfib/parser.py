@@ -14,9 +14,10 @@ Shared sections:
       [topology] b2_X=23 rho_X=20 b2_S=2 rho_S=1
       [picard-degrees] 3 0
 
-Valuations accept nonnegative integers or "inf".  Polynomials use infix
-syntax over s and t with integer or ratio coefficients, explicit '*'
-between factors and '^' for powers.
+Valuations accept nonnegative integers up to MAX_FIBRE_INDEX or "inf".
+Polynomials use infix syntax over s and t with integer or ratio
+coefficients, explicit '*' between factors and '^' for powers; the
+exponent of each variable in a term is at most MAX_EXPONENT.
 """
 
 from __future__ import annotations
@@ -39,9 +40,21 @@ __all__ = [
     "parse_polynomial",
     "render_description",
     "AXIS_BRANCH_NAMES",
+    "MAX_FIBRE_INDEX",
+    "MAX_EXPONENT",
 ]
 
 AXIS_BRANCH_NAMES = ("s-axis", "t-axis")
+
+# Largest finite valuation a [branch] line may declare.  A fibre's index
+# (n of I_n or I_n*) is at most its vdelta, and a report lists one
+# multiplicity per component, so its size and time grow with the index.
+MAX_FIBRE_INDEX = 100_000
+
+# Largest exponent of s or t in a polynomial term.  Delta = 4a^3 + 27b^2
+# then has exponents of at most 3 * MAX_EXPONENT, so an axis fibre's
+# index stays within MAX_FIBRE_INDEX.
+MAX_EXPONENT = MAX_FIBRE_INDEX // 3
 
 
 @dataclass(frozen=True)
@@ -140,6 +153,7 @@ def parse_polynomial(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly
         fail(f"unexpected token {tok!r} in polynomial")
 
     def parse_term() -> poly.Poly:
+        start = idx
         coeff, es, et = parse_factor()
         while peek() == "*":
             take()
@@ -147,6 +161,11 @@ def parse_polynomial(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly
             coeff *= c2
             es += e2s
             et += e2t
+        if es > MAX_EXPONENT or et > MAX_EXPONENT:
+            raise ParseError([Diagnostic(
+                line, tokens[start][1],
+                f"exponent exceeds the limit of {MAX_EXPONENT} (MAX_EXPONENT)",
+            )])
         return poly.monomial(coeff, es, et)
 
     result = poly.zero()
@@ -274,6 +293,14 @@ def parse_description(text: str) -> FibrationDescription:
                 continue
             if parsed["vdelta"] == INFINITY:
                 syntax.append(Diagnostic(lineno, payload_col + 1, "vdelta cannot be inf"))
+                continue
+            huge = [k for k, v in parsed.items() if v != INFINITY and v > MAX_FIBRE_INDEX]
+            if huge:
+                kv = next(kv for kv in _KEYVAL.finditer(payload) if kv.group(1) == huge[0])
+                syntax.append(Diagnostic(
+                    lineno, payload_col + kv.start() + 1,
+                    f"{huge[0]} exceeds the limit of {MAX_FIBRE_INDEX} (MAX_FIBRE_INDEX)",
+                ))
                 continue
             branches.append(BranchDecl(name, parsed["va"], parsed["vb"], parsed["vdelta"], lineno))
 

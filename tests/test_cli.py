@@ -9,6 +9,7 @@ import pytest
 
 from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, build_arg_parser, main
 from ellfib.kodaira import MAX_LATTICE_COMPONENTS
+from ellfib.parser import MAX_EXPONENT, MAX_FIBRE_INDEX
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -338,3 +339,37 @@ def test_report_overlong_integer_in_presentation_directory(tmp_path, capsys):
     line = _single_error_line(capsys)
     assert line.startswith("error: ") and line.endswith(f" in {bad}")
     assert f"{len(big)} digits" in line
+
+
+def test_report_refuses_huge_fibre_index_and_exponent(tmp_path, capsys):
+    # 4300 digits is the longest literal int() converts by default, so
+    # these pass the literal-length scan and must meet the bounds
+    bad = tmp_path / "huge.fib"
+    for text, message in (
+        (
+            "[branch A] va=0 vb=0 vdelta=" + "9" * 4300 + "\n",
+            f"line 1, col 22: vdelta exceeds the limit of {MAX_FIBRE_INDEX} (MAX_FIBRE_INDEX)",
+        ),
+        (
+            "[branch A] va=0 vb=0 vdelta=100000000\n",
+            f"line 1, col 22: vdelta exceeds the limit of {MAX_FIBRE_INDEX} (MAX_FIBRE_INDEX)",
+        ),
+        (
+            "[weierstrass] a = s^" + "9" * 4300 + " b = 1\n",
+            f"line 1, col 19: exponent exceeds the limit of {MAX_EXPONENT} (MAX_EXPONENT)",
+        ),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        rc, out = run("report", str(bad))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert _single_error_line(capsys) == f"error: {message} in {bad}"
+
+
+def test_report_at_fibre_index_bound(tmp_path):
+    ok = tmp_path / "bound.fib"
+    ok.write_text(f"[branch A] va=0 vb=0 vdelta={MAX_FIBRE_INDEX}\n", encoding="utf-8")
+    rc, out = run("report", str(ok), "--format", "json")
+    assert rc == EXIT_OK
+    (branch,) = json.loads(out)["branches"]
+    assert branch["type"] == f"I{MAX_FIBRE_INDEX}"
+    assert len(branch["multiplicities"]) == MAX_FIBRE_INDEX

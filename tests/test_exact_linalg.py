@@ -7,13 +7,16 @@ Two independent oracles back the Smith machinery:
   * brute-force enumeration of n-torsion points of the Q/Z kernel.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from ellfib import exact_linalg
 from ellfib.errors import CommutationFailure, DimensionMismatch
 from ellfib.exact_linalg import (
     DivisibleGroup,
@@ -208,6 +211,37 @@ def test_snf_structure():
                     assert dec.D.at(i, j) == 0
 
 
+# SHA-256 of (U, D, V, U_inv, V_inv, rank) over _golden_snf_samples(),
+# captured before the elimination loop was shared with qz_kernel.  The
+# witnesses in the golden report JSON depend on U and V_inv, so the
+# tracked form must not change by a single entry.
+_GOLDEN_SNF_SHA256 = "a40c00e79296fd7f020f219f29ac5611a4375d6e6d7dbcf49e54b8a052b20642"
+
+
+def _golden_snf_samples():
+    rng = random.Random(20261018)
+    samples = [
+        _random_matrix(rng, rng.randint(0, 12), rng.randint(0, 12), lo=-9, hi=9)
+        for _ in range(40)
+    ]
+    for _ in range(8):  # rank-deficient products
+        rows, cols = rng.randint(2, 9), rng.randint(2, 9)
+        k = rng.randint(1, min(rows, cols) - 1)
+        left = _random_matrix(rng, rows, k, lo=-3, hi=3)
+        samples.append(left @ _random_matrix(rng, k, cols, lo=-3, hi=3))
+    return samples
+
+
+def test_snf_golden_fingerprint():
+    digest = hashlib.sha256()
+    for m in _golden_snf_samples():
+        dec = smith_normal_form(m)
+        mats = (dec.U, dec.D, dec.V, dec.U_inv, dec.V_inv)
+        doc = [[x.rows, x.cols, list(x.entries)] for x in mats] + [dec.rank]
+        digest.update(json.dumps(doc, separators=(",", ":")).encode())
+    assert digest.hexdigest() == _GOLDEN_SNF_SHA256
+
+
 def test_snf_large_entries():
     m = IntMatrix.from_rows([[2**40, 3**25], [5**17, 7**13]])
     dec = smith_normal_form(m)
@@ -256,6 +290,31 @@ def test_divisible_group_validation():
 # Q/Z kernels
 
 
+def _shaped_samples(rng, count, max_size):
+    """Seeded matrices of every kind qz_kernel meets: square, wide, tall,
+    rank-deficient products, zero and empty (0 x n, n x 0, 0 x 0)."""
+    out = [IntMatrix.zero(0, n) for n in range(max_size + 1)]
+    out += [IntMatrix.zero(n, 0) for n in range(1, max_size + 1)]
+    out += [IntMatrix.zero(n, n + 1) for n in range(1, max_size)]
+    for _ in range(count):
+        kind = rng.choice(("square", "wide", "tall", "deficient"))
+        rows = rng.randint(1, max_size)
+        if kind == "square":
+            cols = rows
+        elif kind == "wide":
+            cols = rng.randint(rows, max_size)
+        elif kind == "tall":
+            rows, cols = max(rows, 2), rng.randint(1, max(rows - 1, 1))
+        else:
+            rows, cols = max(rows, 2), rng.randint(2, max_size)
+            k = rng.randint(1, min(rows, cols) - 1)
+            left = _random_matrix(rng, rows, k, lo=-3, hi=3)
+            out.append(left @ _random_matrix(rng, k, cols, lo=-3, hi=3))
+            continue
+        out.append(_random_matrix(rng, rows, cols, lo=-9, hi=9))
+    return out
+
+
 def test_qz_kernel_worked_examples():
     assert qz_kernel(IntMatrix.diagonal([2, 3])) == DivisibleGroup.cyclic(6)
     assert qz_kernel(IntMatrix.from_rows([[2, 4], [6, 8]])) == DivisibleGroup(0, (2, 4))
@@ -269,13 +328,80 @@ def test_qz_kernel_worked_examples():
 
 def test_qz_kernel_matches_bruteforce_torsion():
     rng = random.Random(93)
-    for _ in range(150):
-        m = _random_matrix(rng, rng.randint(0, 3), rng.randint(0, 3), lo=-5, hi=5)
+    samples = [
+        _random_matrix(rng, rng.randint(0, 3), rng.randint(0, 3), lo=-5, hi=5)
+        for _ in range(150)
+    ]
+    for m in samples + _shaped_samples(random.Random(99), 60, 3):
         group = qz_kernel(m)
         for n in (2, 3, 4, 6, 12):
             assert _group_n_torsion(group, n) == _bruteforce_n_torsion(m, n), (
                 f"n-torsion mismatch for {m.to_rows()} at n={n}"
             )
+
+
+def test_qz_kernel_matches_tracked_form():
+    rng = random.Random(97)
+    for m in _shaped_samples(rng, 160, 8):
+        dec = smith_normal_form(m)
+        expected = DivisibleGroup(m.cols - dec.rank, dec.invariant_factors())
+        assert qz_kernel(m) == expected, m.to_rows()
+
+
+def test_qz_kernel_matches_determinantal_divisors():
+    rng = random.Random(98)
+    for m in _shaped_samples(rng, 120, 4):
+        diag = _determinantal_diagonal(m)
+        rank = sum(1 for d in diag if d)
+        assert qz_kernel(m) == DivisibleGroup(
+            m.cols - rank, tuple(d for d in diag if d > 1)
+        ), m.to_rows()
+
+
+def test_qz_kernel_builds_no_transforms(monkeypatch):
+    rng = random.Random(100)
+    samples = _shaped_samples(rng, 40, 6)
+    expected = [qz_kernel(m) for m in samples]
+
+    def refuse(a):
+        raise AssertionError("qz_kernel called the tracked Smith form")
+
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", refuse)
+    assert [qz_kernel(m) for m in samples] == expected
+
+
+def test_induced_kernel_last_step_builds_no_transforms(monkeypatch):
+    # the cokernel coordinates of R and M0 need U_inv and U; the kernel of
+    # the induced block does not
+    real = exact_linalg.smith_normal_form
+    cases = [
+        (
+            IntMatrix.from_rows([[1], [1], [2]]),
+            IntMatrix.from_rows([[1, 1, 0], [0, 0, 1]]),
+            IntMatrix.column([2, 2]),
+            IntMatrix.from_rows([[1]]),
+            DivisibleGroup(1),
+        ),
+        (
+            IntMatrix.zero(2, 0),
+            IntMatrix.from_rows([[2, 0], [0, 3]]),
+            IntMatrix.zero(2, 0),
+            IntMatrix.zero(0, 0),
+            DivisibleGroup.cyclic(6),
+        ),
+    ]
+    for r, n, m0, sigma, expected in cases:
+        calls = []
+
+        def only_cokernels(a, r=r, m0=m0, calls=calls):
+            if a is not r and a is not m0:
+                raise AssertionError("tracked Smith form of the induced block")
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(exact_linalg, "smith_normal_form", only_cokernels)
+        assert induced_kernel(r, n, m0, sigma) == expected
+        assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

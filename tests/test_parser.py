@@ -11,6 +11,8 @@ from ellfib import poly
 from ellfib.errors import ParseError, ValidationError
 from ellfib.parser import (
     AXIS_BRANCH_NAMES,
+    MAX_EXPONENT,
+    MAX_FIBRE_INDEX,
     BranchDecl,
     CollisionDecl,
     parse_description,
@@ -135,6 +137,44 @@ def test_branch_syntax_diagnostics_positions():
     with pytest.raises(ParseError) as info:
         parse_description("[branch] va=0 vb=0 vdelta=1\n")
     assert "needs a name" in info.value.diagnostics[0].message
+
+
+def test_branch_valuations_are_bounded():
+    # the bound sits well above the largest index anyone reports on
+    assert MAX_FIBRE_INDEX >= 30 * 3000
+    at_bound = parse_description(
+        f"[branch A] va=inf vb={MAX_FIBRE_INDEX} vdelta={MAX_FIBRE_INDEX}\n"
+    )
+    assert at_bound.branches[0].vdelta == MAX_FIBRE_INDEX
+    for text, key, col in (
+        (f"[branch A] va=0 vb=0 vdelta={MAX_FIBRE_INDEX + 1}\n", "vdelta", 22),
+        (f"[branch A] va=0  vb={10**40} vdelta=0\n", "vb", 18),
+        ("[branch A] va=" + "9" * 4300 + " vb=0 vdelta=0\n", "va", 12),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_description(text)
+        (diag,) = info.value.diagnostics
+        assert (diag.line, diag.column) == (1, col)
+        assert diag.message == (
+            f"{key} exceeds the limit of {MAX_FIBRE_INDEX} (MAX_FIBRE_INDEX)"
+        )
+
+
+def test_polynomial_exponents_are_bounded():
+    assert 3 * MAX_EXPONENT <= MAX_FIBRE_INDEX
+    assert parse_polynomial(f"s^{MAX_EXPONENT}*t^{MAX_EXPONENT}") == poly.monomial(
+        1, MAX_EXPONENT, MAX_EXPONENT
+    )
+    for text, col in (  # the column of the offending term
+        (f"2*s^{MAX_EXPONENT + 1}", 1),
+        (f"t + s^{MAX_EXPONENT}*t*s", 5),
+        ("1 - t^" + "9" * 4300, 5),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, line=4)
+        (diag,) = info.value.diagnostics
+        assert (diag.line, diag.column) == (4, col)
+        assert diag.message == f"exponent exceeds the limit of {MAX_EXPONENT} (MAX_EXPONENT)"
 
 
 def test_multiple_syntax_errors_are_collected():
