@@ -47,7 +47,7 @@ from .presentations import (
     local_sha,
     local_sha_with_witnesses,
 )
-from .report import AnalysisReport, analyze, render_json, render_text
+from .report import analyze, render_json, render_text
 from .weierstrass import (
     INFINITY,
     KodairaType,

@@ -27,7 +27,15 @@ from .collisions import (
 from .errors import FibrationError, ParseError, ValidationError, naming_input
 from .parser import parse_description
 from .presentations import PresentationStore, load_presentation_file, local_sha_with_witnesses
-from .weierstrass import INFINITY, KodairaType, ValuationProfile, classify, j_valuation, minimalize
+from .weierstrass import (
+    INFINITY,
+    KodairaType,
+    ValuationProfile,
+    classify,
+    j_valuation,
+    minimalize,
+    render_valuation,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -64,7 +72,7 @@ def _profile(args, prefix: str = "") -> ValuationProfile:
 
 
 def _print_profile(p: ValuationProfile, out) -> None:
-    va, vb, vd = ("inf" if v == INFINITY else v for v in p.as_tuple())
+    va, vb, vd = (render_valuation(v) for v in p.as_tuple())
     print(f"va={va} vb={vb} vdelta={vd}", file=out)
 
 
@@ -72,7 +80,7 @@ def _cmd_classify(args, out) -> int:
     p = _profile(args)
     ft = classify(p)
     print(ft, file=out)
-    print(f"j-valuation: {'inf' if j_valuation(p) == INFINITY else j_valuation(p)}", file=out)
+    print(f"j-valuation: {render_valuation(j_valuation(p))}", file=out)
     return EXIT_OK
 
 
@@ -119,7 +127,7 @@ def _cmd_blowup(args, out) -> int:
 def _cmd_reduce(args, out) -> int:
     tree = miranda_reduce([_germs(args)], max_depth=args.max_depth)[0]
     lines: list[str] = []
-    report_mod._tree_text(tree.root, lines, 0)
+    report_mod._tree_text(report_mod._tree_json(tree.root), lines, 0)
     for line in lines:
         print(line, file=out)
     print(f"height: {tree.height()}", file=out)
@@ -135,14 +143,14 @@ def _cmd_sha_local(args, out) -> int:
         print(f"generator witness: ({', '.join(str(x) for x in w)})", file=out)
     pair = pres.type_pair()
     if len(pair) == 2:
+        lt, rt = KodairaType.parse(pair[0]), KodairaType.parse(pair[1])
         try:
-            lt, rt = KodairaType.parse(pair[0]), KodairaType.parse(pair[1])
             expected = expected_local_sha(lt, rt)
             verdict = multiple_fibre_verdict(lt, rt)
             agree = "agree" if expected == group else "DISAGREE"
             print(f"registry: {expected} ({agree})", file=out)
             print(f"verdict: {verdict}", file=out)
-        except (ValueError, FibrationError):
+        except FibrationError:
             pass
     return EXIT_OK
 
@@ -172,17 +180,17 @@ def _cmd_report(args, out) -> int:
     store = PresentationStore()
     if args.presentations:
         store.load_directory(args.presentations)
-    result = report_mod.analyze(
+    doc = report_mod.analyze(
         description,
         store=store,
         base_dir=os.path.dirname(os.path.abspath(args.input)),
         max_depth=args.max_depth,
     )
     if args.format == "json":
-        out.write(report_mod.render_json(result))
+        out.write(report_mod.render_json(doc))
     else:
-        out.write(report_mod.render_text(result))
-    return EXIT_ENGINE if result.has_errors else EXIT_OK
+        out.write(report_mod.render_text(doc))
+    return EXIT_ENGINE if doc["errors"] else EXIT_OK
 
 
 @functools.cache

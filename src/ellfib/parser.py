@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import poly
 from .errors import DegenerateModel, Diagnostic, ParseError, ValidationError
-from .weierstrass import INFINITY, WeierstrassPolyModel
+from .weierstrass import INFINITY, WeierstrassPolyModel, render_valuation
 
 __all__ = [
     "BranchDecl",
@@ -344,6 +344,18 @@ def parse_description(text: str) -> FibrationDescription:
                     "[topology] needs b2_X, rho_X, b2_S, rho_S as nonnegative integers",
                 ))
                 continue
+            # the corank adds two of these values, so it stays within the
+            # limit and the report can print it
+            long_value = limit and next(
+                (kv for kv in _KEYVAL.finditer(payload) if len(kv.group(2)) >= limit), None
+            )
+            if long_value:
+                syntax.append(Diagnostic(
+                    lineno, payload_col + long_value.start() + 1,
+                    f"{long_value.group(1)} of {len(long_value.group(2))} digits exceeds "
+                    f"the limit of {limit - 1} digits for [topology] values",
+                ))
+                continue
             topology = tuple(int(vals[k]) for k in keys)
 
         elif section == "picard-degrees":
@@ -410,10 +422,6 @@ def parse_description(text: str) -> FibrationDescription:
     )
 
 
-def _render_valuation(v) -> str:
-    return "inf" if v == INFINITY else str(v)
-
-
 def render_description(d: FibrationDescription) -> str:
     """Canonical text form; parsing it back yields an equal description
     (up to line numbers)."""
@@ -423,8 +431,8 @@ def render_description(d: FibrationDescription) -> str:
     else:
         for b in d.branches:
             lines.append(
-                f"[branch {b.name}] va={_render_valuation(b.va)} "
-                f"vb={_render_valuation(b.vb)} vdelta={_render_valuation(b.vdelta)}"
+                f"[branch {b.name}] va={render_valuation(b.va)} "
+                f"vb={render_valuation(b.vb)} vdelta={render_valuation(b.vdelta)}"
             )
     for c in d.collisions:
         extra = f" presentation={c.presentation}" if c.presentation else ""

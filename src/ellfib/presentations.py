@@ -33,6 +33,7 @@ from .exact_linalg import (
     induced_kernel,
     induced_kernel_with_witnesses,
 )
+from .weierstrass import KodairaType
 
 __all__ = [
     "DivisorRecord",
@@ -69,12 +70,20 @@ class DivisorRecord:
             raise PresentationInconsistent("incidence entries must be >= 0")
 
 
+def _check_fibre_type(text: str) -> None:
+    try:
+        KodairaType.parse(text)
+    except ValueError as exc:
+        raise PresentationInconsistent(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class BranchPresentation:
     fibre_type: str
     divisors: tuple[DivisorRecord, ...]
 
     def __post_init__(self):
+        _check_fibre_type(self.fibre_type)
         if not self.divisors:
             raise PresentationInconsistent("branch needs at least one divisor")
 
@@ -221,6 +230,8 @@ def presentation_from_dict(data: dict) -> tuple[tuple[str, str], CollisionPresen
         raise PresentationInconsistent(f"malformed presentation data: {exc}") from exc
     if len(pair) != 2:
         raise PresentationInconsistent("pair must list exactly two fibre types")
+    for ft in pair:
+        _check_fibre_type(ft)
     p = CollisionPresentation(central, tuple(branches))
     declared = p.type_pair()
     if len(declared) == 2 and set(declared) != set(pair):
@@ -232,9 +243,13 @@ def presentation_from_dict(data: dict) -> tuple[tuple[str, str], CollisionPresen
 
 def load_presentation_file(path) -> tuple[tuple[str, str], CollisionPresentation]:
     """Read one presentation file; bad presentation data raises
-    PresentationInconsistent naming the file."""
+    PresentationInconsistent naming the file, and JSON nested deeper than
+    the decoder can recurse raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nesting too deep to decode") from None
     if not isinstance(data, dict):
         raise PresentationInconsistent(f"expected a JSON object in {path}")
     try:

@@ -1,9 +1,11 @@
 """Whole-fibration analysis: classify every branch, resolve every
 collision, and collect the group-theoretic invariants into one report
-renderable as text or JSON.
+document, the plain dict that `report --format json` prints (see the
+README for its layout).  `render_json` encodes it and `render_text`
+prints the same data as text.
 
 Individual failures (a bad profile, an unresolvable collision, a broken
-presentation file) are recorded in the report's error list instead of
+presentation file) are recorded in the document's error list instead of
 aborting the run, so a partial description still produces output.
 """
 
@@ -11,12 +13,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 
 from . import kodaira
 from .collisions import (
     BlowupNode,
-    BlowupTree,
     BranchGerm,
     CollisionPoint,
     DEFAULT_MAX_DEPTH,
@@ -27,8 +27,7 @@ from .collisions import (
     multiple_fibre_verdict,
 )
 from .errors import FibrationError, PresentationInconsistent
-from .exact_linalg import DivisibleGroup
-from .parser import AXIS_BRANCH_NAMES, FibrationDescription
+from .parser import AXIS_BRANCH_NAMES, CollisionDecl, FibrationDescription
 from .presentations import (
     CollisionPresentation,
     PresentationStore,
@@ -36,15 +35,15 @@ from .presentations import (
     local_sha_with_witnesses,
 )
 from .weierstrass import (
-    INFINITY,
     ValuationProfile,
     axis_profile,
     classify,
     j_valuation,
     minimalize,
+    render_valuation,
 )
 
-__all__ = ["AnalysisReport", "analyze", "render_text", "render_json"]
+__all__ = ["analyze", "render_text", "render_json"]
 
 FORMAT_VERSION = 1
 
@@ -61,269 +60,20 @@ ALL_IRREDUCIBLE_NOTE = (
 )
 
 
-@dataclass
-class BranchReport:
-    name: str
-    input_profile: tuple
-    twist_count: int
-    minimal_profile: tuple
-    fibre_type: str
-    j_valuation: object
-    component_count: int
-    multiplicities: tuple[int, ...]
-    discriminant_group: str
-    sha_punctured: str
+def _error(errors: list[dict], subject: str, exc: Exception) -> None:
+    errors.append({"subject": subject, "kind": type(exc).__name__, "message": str(exc)})
 
 
-@dataclass
-class LeafReport:
-    path: str
-    left_name: str
-    right_name: str
-    left_type: str
-    right_type: str
-    verdict: str
-    obstruction: str | None
-    registry_sha: str
-    computed_sha: str | None = None
-    witnesses: list[tuple[str, ...]] | None = None
-    agreement: bool | None = None
-    divisible_part_flag: bool = False
-    presentation_source: str | None = None
-
-
-@dataclass
-class CollisionReport:
-    left: str
-    right: str
-    presentation: str | None
-    tree: BlowupTree | None
-    leaves: list[LeafReport] = field(default_factory=list)
-    failed: bool = False
-
-
-@dataclass
-class GlobalReport:
-    corank: int | None = None
-    delta_eta: int | None = None
-    all_irreducible: bool = False
-    note: str | None = None
-
-
-@dataclass
-class ErrorEntry:
-    subject: str
-    kind: str
-    message: str
-
-
-@dataclass
-class AnalysisReport:
-    description: FibrationDescription
-    branches: list[BranchReport] = field(default_factory=list)
-    collisions: list[CollisionReport] = field(default_factory=list)
-    summary: GlobalReport = field(default_factory=GlobalReport)
-    errors: list[ErrorEntry] = field(default_factory=list)
-
-    @property
-    def has_errors(self) -> bool:
-        return bool(self.errors)
-
-
-def _branch_report(name: str, profile: ValuationProfile) -> tuple[BranchReport, BranchGerm]:
-    minimal, twists = minimalize(profile)
-    ft = classify(minimal)
-    disc = kodaira.discriminant_group(ft)
-    sha = kodaira.sha_punctured_transverse(ft)
-    rep = BranchReport(
-        name=name,
-        input_profile=profile.as_tuple(),
-        twist_count=twists,
-        minimal_profile=minimal.as_tuple(),
-        fibre_type=str(ft),
-        j_valuation=j_valuation(minimal),
-        component_count=kodaira.component_count(ft),
-        multiplicities=kodaira.multiplicities(ft),
-        discriminant_group=disc.render(),
-        sha_punctured=sha.render(),
-    )
-    return rep, BranchGerm(name, minimal)
-
-
-def _presentation_for_leaf(
-    leaf: BlowupNode,
-    explicit: CollisionPresentation | None,
-    explicit_name: str | None,
-    store: PresentationStore,
-    is_root: bool,
-) -> tuple[CollisionPresentation | None, str | None]:
-    lt, rt = (str(t) for t in leaf.type_pair())
-    if explicit is not None and is_root:
-        declared = set(explicit.type_pair())
-        if declared and declared != {lt, rt}:
-            raise PresentationInconsistent(
-                f"attached presentation describes {sorted(declared)} but the "
-                f"collision is {lt} + {rt}"
-            )
-        return explicit, explicit_name
-    found = store.lookup(lt, rt)
-    if found is not None:
-        return found, "registry"
-    return None, None
-
-
-def _leaf_report(
-    leaf: BlowupNode,
-    explicit: CollisionPresentation | None,
-    explicit_name: str | None,
-    store: PresentationStore,
-    errors: list[ErrorEntry],
-    subject: str,
-) -> LeafReport:
-    lt, rt = leaf.type_pair()
-    verdict = multiple_fibre_verdict(lt, rt)
-    registry = expected_local_sha(lt, rt)
-    rep = LeafReport(
-        path=leaf.path or "root",
-        left_name=leaf.left.name,
-        right_name=leaf.right.name,
-        left_type=str(lt),
-        right_type=str(rt),
-        verdict=verdict.kind,
-        obstruction=verdict.obstruction.render() if verdict.obstruction else None,
-        registry_sha=registry.render(),
-    )
-    try:
-        pres, source = _presentation_for_leaf(
-            leaf, explicit, explicit_name, store, is_root=leaf.path == ""
-        )
-    except PresentationInconsistent as exc:
-        errors.append(ErrorEntry(subject, type(exc).__name__, str(exc)))
-        return rep
-    if pres is None:
-        return rep
-    try:
-        computed, witnesses = local_sha_with_witnesses(pres)
-    except FibrationError as exc:
-        errors.append(ErrorEntry(subject, type(exc).__name__, str(exc)))
-        return rep
-    rep.computed_sha = computed.render()
-    rep.presentation_source = source
-    rep.agreement = computed == registry
-    rep.divisible_part_flag = computed.divisible_rank > 0
-    if computed.invariant_factors:
-        rep.witnesses = [tuple(str(x) for x in w) for w in witnesses]
-    return rep
-
-
-def analyze(
-    d: FibrationDescription,
-    store: PresentationStore | None = None,
-    base_dir: str | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> AnalysisReport:
-    """Run the full pipeline on a parsed description."""
-    store = store if store is not None else PresentationStore()
-    report = AnalysisReport(description=d)
-    germs: dict[str, BranchGerm] = {}
-
-    declared = []
-    if d.mode == "weierstrass":
-        declared = [(name, axis_profile(d.model, axis))
-                    for name, axis in zip(AXIS_BRANCH_NAMES, ("s", "t"))]
-    else:
-        for b in d.branches:
-            try:
-                declared.append((b.name, ValuationProfile(b.va, b.vb, b.vdelta)))
-            except FibrationError as exc:
-                report.errors.append(ErrorEntry(b.name, type(exc).__name__, str(exc)))
-
-    for name, profile in declared:
-        try:
-            rep, germ = _branch_report(name, profile)
-        except FibrationError as exc:
-            report.errors.append(ErrorEntry(name, type(exc).__name__, str(exc)))
-            continue
-        report.branches.append(rep)
-        germs[name] = germ
-
-    for c in d.collisions:
-        subject = f"collision {c.left}+{c.right}"
-        crep = CollisionReport(c.left, c.right, c.presentation, tree=None)
-        report.collisions.append(crep)
-
-        explicit = None
-        if c.presentation is not None:
-            path = c.presentation
-            if base_dir is not None and not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            try:
-                _, explicit = load_presentation_file(path)
-            except (OSError, ValueError, FibrationError) as exc:
-                report.errors.append(ErrorEntry(subject, type(exc).__name__, str(exc)))
-                crep.failed = True
-                continue
-
-        missing = [n for n in (c.left, c.right) if n not in germs]
-        if missing:
-            report.errors.append(ErrorEntry(
-                subject, "UnanalyzedBranch",
-                f"branch {missing[0]!r} was not analyzed; collision skipped",
-            ))
-            crep.failed = True
-            continue
-
-        try:
-            point = CollisionPoint(germs[c.left], germs[c.right])
-            tree = miranda_reduce([point], max_depth=max_depth)[0]
-        except FibrationError as exc:
-            report.errors.append(ErrorEntry(subject, type(exc).__name__, str(exc)))
-            crep.failed = True
-            continue
-
-        crep.tree = tree
-        for leaf in tree.allowed_leaves():
-            crep.leaves.append(
-                _leaf_report(leaf, explicit, c.presentation, store,
-                             report.errors, subject)
-            )
-
-    try:
-        if d.topology is not None:
-            report.summary.corank = corank_of(*d.topology)
-    except FibrationError as exc:
-        report.errors.append(ErrorEntry("topology", type(exc).__name__, str(exc)))
-    try:
-        if d.picard_degrees is not None:
-            report.summary.delta_eta = delta_eta_gcd(d.picard_degrees)
-    except FibrationError as exc:
-        report.errors.append(ErrorEntry("picard-degrees", type(exc).__name__, str(exc)))
-
-    if report.branches and all(b.component_count == 1 for b in report.branches):
-        report.summary.all_irreducible = True
-        report.summary.note = ALL_IRREDUCIBLE_NOTE
-
-    return report
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def _val_json(v):
-    return "inf" if v == INFINITY else v
-
-
-def _profile_json(p: tuple) -> dict:
-    return {"va": _val_json(p[0]), "vb": _val_json(p[1]), "vdelta": _val_json(p[2])}
+def _profile_json(p: ValuationProfile) -> dict:
+    return {
+        "va": render_valuation(p.va),
+        "vb": render_valuation(p.vb),
+        "vdelta": render_valuation(p.vdelta),
+    }
 
 
 def _germ_json(g: BranchGerm) -> dict:
-    return {
-        "name": g.name,
-        "type": str(g.fibre_type),
-        "profile": _profile_json(g.profile.as_tuple()),
-    }
+    return {"name": g.name, "type": str(g.fibre_type), "profile": _profile_json(g.profile)}
 
 
 def _tree_json(node: BlowupNode) -> dict:
@@ -341,65 +91,202 @@ def _tree_json(node: BlowupNode) -> dict:
     return out
 
 
-def render_json(report: AnalysisReport) -> str:
-    branches = []
-    for b in report.branches:
-        branches.append({
-            "name": b.name,
-            "input_profile": _profile_json(b.input_profile),
-            "twists_removed": b.twist_count,
-            "minimal_profile": _profile_json(b.minimal_profile),
-            "type": b.fibre_type,
-            "j_valuation": _val_json(b.j_valuation),
-            "components": b.component_count,
-            "multiplicities": list(b.multiplicities),
-            "discriminant_group": b.discriminant_group,
-            "sha_punctured": b.sha_punctured,
+def _branch_json(name: str, profile: ValuationProfile) -> tuple[dict, BranchGerm]:
+    minimal, twists = minimalize(profile)
+    ft = classify(minimal)
+    entry = {
+        "name": name,
+        "input_profile": _profile_json(profile),
+        "twists_removed": twists,
+        "minimal_profile": _profile_json(minimal),
+        "type": str(ft),
+        "j_valuation": render_valuation(j_valuation(minimal)),
+        "components": kodaira.component_count(ft),
+        "multiplicities": list(kodaira.multiplicities(ft)),
+        "discriminant_group": kodaira.discriminant_group(ft).render(),
+        "sha_punctured": kodaira.sha_punctured_transverse(ft).render(),
+    }
+    return entry, BranchGerm(name, minimal)
+
+
+def _presentation_for_leaf(
+    leaf: BlowupNode,
+    explicit: CollisionPresentation | None,
+    explicit_name: str | None,
+    store: PresentationStore,
+) -> tuple[CollisionPresentation | None, str | None]:
+    lt, rt = (str(t) for t in leaf.type_pair())
+    if explicit is not None and leaf.path == "":
+        declared = set(explicit.type_pair())
+        if declared and declared != {lt, rt}:
+            raise PresentationInconsistent(
+                f"attached presentation describes {sorted(declared)} but the "
+                f"collision is {lt} + {rt}"
+            )
+        return explicit, explicit_name
+    found = store.lookup(lt, rt)
+    if found is not None:
+        return found, "registry"
+    return None, None
+
+
+def _leaf_json(
+    leaf: BlowupNode,
+    explicit: CollisionPresentation | None,
+    explicit_name: str | None,
+    store: PresentationStore,
+    errors: list[dict],
+    subject: str,
+) -> tuple[dict, dict]:
+    """The verdict entry and the group entry of one allowed leaf."""
+    lt, rt = leaf.type_pair()
+    path, pair = leaf.path or "root", f"{lt}+{rt}"
+    verdict = multiple_fibre_verdict(lt, rt)
+    registry = expected_local_sha(lt, rt)
+    verdict_entry = {
+        "path": path,
+        "pair": pair,
+        "verdict": verdict.kind,
+        "obstruction": verdict.obstruction.render() if verdict.obstruction else None,
+    }
+    group = {
+        "path": path,
+        "pair": pair,
+        "registry": registry.render(),
+        "computed": None,
+        "witnesses": None,
+        "agreement": None,
+        "divisible_part_flag": False,
+        "presentation_source": None,
+    }
+    try:
+        pres, source = _presentation_for_leaf(leaf, explicit, explicit_name, store)
+        if pres is None:
+            return verdict_entry, group
+        computed, witnesses = local_sha_with_witnesses(pres)
+    except FibrationError as exc:
+        _error(errors, subject, exc)
+        return verdict_entry, group
+    group.update(
+        computed=computed.render(),
+        witnesses=[[str(x) for x in w] for w in witnesses] or None,
+        agreement=computed == registry,
+        divisible_part_flag=computed.divisible_rank > 0,
+        presentation_source=source,
+    )
+    return verdict_entry, group
+
+
+def _collision_json(
+    c: CollisionDecl,
+    germs: dict[str, BranchGerm],
+    store: PresentationStore,
+    base_dir: str | None,
+    max_depth: int,
+    errors: list[dict],
+) -> tuple[dict | None, list[tuple[dict, dict]]]:
+    """The blow-up tree of one collision and the (verdict, group) entries
+    of its allowed leaves; no tree once a failure is recorded."""
+    subject = f"collision {c.left}+{c.right}"
+    explicit = None
+    if c.presentation is not None:
+        path = c.presentation
+        if base_dir is not None and not os.path.isabs(path):
+            path = os.path.join(base_dir, path)
+        try:
+            _, explicit = load_presentation_file(path)
+        except (OSError, ValueError, FibrationError) as exc:
+            _error(errors, subject, exc)
+            return None, []
+
+    missing = [n for n in (c.left, c.right) if n not in germs]
+    if missing:
+        errors.append({
+            "subject": subject,
+            "kind": "UnanalyzedBranch",
+            "message": f"branch {missing[0]!r} was not analyzed; collision skipped",
         })
-    collisions = []
-    trees = []
-    verdicts = []
-    groups = []
-    for i, c in enumerate(report.collisions):
+        return None, []
+
+    try:
+        point = CollisionPoint(germs[c.left], germs[c.right])
+        tree = miranda_reduce([point], max_depth=max_depth)[0]
+    except FibrationError as exc:
+        _error(errors, subject, exc)
+        return None, []
+
+    leaves = [_leaf_json(leaf, explicit, c.presentation, store, errors, subject)
+              for leaf in tree.allowed_leaves()]
+    return _tree_json(tree.root), leaves
+
+
+def analyze(
+    d: FibrationDescription,
+    store: PresentationStore | None = None,
+    base_dir: str | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> dict:
+    """Run the full pipeline on a parsed description and return the
+    report document: a dict of JSON values in the fixed key order of
+    `report --format json`, with `errors` empty on a clean run."""
+    store = store if store is not None else PresentationStore()
+    errors: list[dict] = []
+    branches: list[dict] = []
+    germs: dict[str, BranchGerm] = {}
+
+    declared = []
+    if d.mode == "weierstrass":
+        declared = [(name, axis_profile(d.model, axis))
+                    for name, axis in zip(AXIS_BRANCH_NAMES, ("s", "t"))]
+    else:
+        for b in d.branches:
+            try:
+                declared.append((b.name, ValuationProfile(b.va, b.vb, b.vdelta)))
+            except FibrationError as exc:
+                _error(errors, b.name, exc)
+
+    for name, profile in declared:
+        try:
+            entry, germ = _branch_json(name, profile)
+        except FibrationError as exc:
+            _error(errors, name, exc)
+            continue
+        branches.append(entry)
+        germs[name] = germ
+
+    collisions, trees, verdicts, groups = [], [], [], []
+    for i, c in enumerate(d.collisions):
+        tree, leaves = _collision_json(c, germs, store, base_dir, max_depth, errors)
         collisions.append({
             "index": i,
             "left": c.left,
             "right": c.right,
             "presentation": c.presentation,
-            "status": "error" if c.failed else "resolved",
+            "status": "error" if tree is None else "resolved",
         })
-        trees.append(_tree_json(c.tree.root) if c.tree is not None else None)
-        verdicts.append([
-            {
-                "path": leaf.path,
-                "pair": f"{leaf.left_type}+{leaf.right_type}",
-                "verdict": leaf.verdict,
-                "obstruction": leaf.obstruction,
-            }
-            for leaf in c.leaves
-        ])
-        groups.append([
-            {
-                "path": leaf.path,
-                "pair": f"{leaf.left_type}+{leaf.right_type}",
-                "registry": leaf.registry_sha,
-                "computed": leaf.computed_sha,
-                "witnesses": [list(w) for w in leaf.witnesses] if leaf.witnesses else None,
-                "agreement": leaf.agreement,
-                "divisible_part_flag": leaf.divisible_part_flag,
-                "presentation_source": leaf.presentation_source,
-            }
-            for leaf in c.leaves
-        ])
-    summary = {
-        "corank": report.summary.corank,
-        "delta_eta_gcd": report.summary.delta_eta,
-        "all_fibres_irreducible": report.summary.all_irreducible,
-        "note": report.summary.note,
-    }
-    doc = {
+        trees.append(tree)
+        verdicts.append([v for v, _ in leaves])
+        groups.append([g for _, g in leaves])
+
+    summary = {"corank": None, "delta_eta_gcd": None,
+               "all_fibres_irreducible": False, "note": None}
+    try:
+        if d.topology is not None:
+            summary["corank"] = corank_of(*d.topology)
+    except FibrationError as exc:
+        _error(errors, "topology", exc)
+    try:
+        if d.picard_degrees is not None:
+            summary["delta_eta_gcd"] = delta_eta_gcd(d.picard_degrees)
+    except FibrationError as exc:
+        _error(errors, "picard-degrees", exc)
+    if branches and all(b["components"] == 1 for b in branches):
+        summary["all_fibres_irreducible"] = True
+        summary["note"] = ALL_IRREDUCIBLE_NOTE
+
+    return {
         "format_version": FORMAT_VERSION,
-        "mode": report.description.mode,
+        "mode": d.mode,
         "sha_punctured_hypothesis": PUNCTURED_HYPOTHESIS,
         "branches": branches,
         "collisions": collisions,
@@ -407,91 +294,96 @@ def render_json(report: AnalysisReport) -> str:
         "verdicts": verdicts,
         "groups": groups,
         "global": summary,
-        "errors": [
-            {"subject": e.subject, "kind": e.kind, "message": e.message}
-            for e in report.errors
-        ],
+        "errors": errors,
     }
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+
+def render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _profile_text(p: tuple) -> str:
-    va, vb, vd = (_val_json(x) for x in p)
-    return f"(va={va}, vb={vb}, vdelta={vd})"
+def _profile_text(p: dict) -> str:
+    return f"(va={p['va']}, vb={p['vb']}, vdelta={p['vdelta']})"
 
 
-def _tree_text(node: BlowupNode, lines: list[str], indent: int) -> None:
+def _tree_text(node: dict, lines: list[str], indent: int) -> None:
+    """Append one line per node of a blow-up tree document."""
     pad = "  " * indent
-    pair = f"{node.left.fibre_type} + {node.right.fibre_type}"
-    names = f"{node.left.name} + {node.right.name}"
-    if node.status == "blown-up":
-        extra = f" -> exceptional {node.exceptional.fibre_type}"
-        if node.twist_count:
-            extra += f" ({node.twist_count} twist(s) absorbed)"
-    else:
-        extra = ""
-    lines.append(f"{pad}[{node.path or 'root'}] {pair}  ({names}): {node.status}{extra}")
-    if node.children is not None:
-        for ch in node.children:
-            _tree_text(ch, lines, indent + 1)
+    left, right = node["left"], node["right"]
+    extra = ""
+    if node["status"] == "blown-up":
+        extra = f" -> exceptional {node['exceptional']['type']}"
+        if node["twists_absorbed"]:
+            extra += f" ({node['twists_absorbed']} twist(s) absorbed)"
+    lines.append(f"{pad}[{node['path']}] {left['type']} + {right['type']}  "
+                 f"({left['name']} + {right['name']}): {node['status']}{extra}")
+    for ch in node.get("children", ()):
+        _tree_text(ch, lines, indent + 1)
 
 
-def render_text(report: AnalysisReport) -> str:
+def render_text(doc: dict) -> str:
     lines: list[str] = []
     lines.append("== branches ==")
-    for b in report.branches:
-        lines.append(f"{b.name}: {b.fibre_type}")
-        lines.append(f"  input {_profile_text(b.input_profile)}, twists removed: {b.twist_count}")
-        lines.append(f"  minimal {_profile_text(b.minimal_profile)}, j-valuation {_val_json(b.j_valuation)}")
-        lines.append(
-            f"  components: {b.component_count}, multiplicities {list(b.multiplicities)}"
-        )
-        lines.append(f"  discriminant group: {b.discriminant_group}")
-        lines.append(f"  sha (punctured, transverse): {b.sha_punctured}")
-    if report.branches:
-        lines.append(f"  [note: {PUNCTURED_HYPOTHESIS}]")
+    for b in doc["branches"]:
+        lines.append(f"{b['name']}: {b['type']}")
+        lines.append(f"  input {_profile_text(b['input_profile'])}, "
+                     f"twists removed: {b['twists_removed']}")
+        lines.append(f"  minimal {_profile_text(b['minimal_profile'])}, "
+                     f"j-valuation {b['j_valuation']}")
+        lines.append(f"  components: {b['components']}, multiplicities {b['multiplicities']}")
+        lines.append(f"  discriminant group: {b['discriminant_group']}")
+        lines.append(f"  sha (punctured, transverse): {b['sha_punctured']}")
+    if doc["branches"]:
+        lines.append(f"  [note: {doc['sha_punctured_hypothesis']}]")
 
-    if report.collisions:
+    if doc["collisions"]:
         lines.append("")
         lines.append("== collisions ==")
-    for c in report.collisions:
-        lines.append(f"{c.left} + {c.right}:")
-        if c.failed or c.tree is None:
+    for c, tree, verdicts, groups in zip(
+        doc["collisions"], doc["blowup_trees"], doc["verdicts"], doc["groups"]
+    ):
+        lines.append(f"{c['left']} + {c['right']}:")
+        if tree is None:
             lines.append("  failed (see errors)")
             continue
-        _tree_text(c.tree.root, lines, 1)
-        for leaf in c.leaves:
-            head = f"  [{leaf.path}] {leaf.left_type}+{leaf.right_type}"
-            lines.append(f"{head}: verdict {leaf.verdict}"
-                         + (f" with obstruction {leaf.obstruction}" if leaf.obstruction else ""))
-            lines.append(f"{head}: local sha (registry) = {leaf.registry_sha}")
-            if leaf.computed_sha is not None:
-                agree = "agree" if leaf.agreement else "DISAGREE"
+        _tree_text(tree, lines, 1)
+        for v, g in zip(verdicts, groups):
+            head = f"  [{v['path']}] {v['pair']}"
+            lines.append(f"{head}: verdict {v['verdict']}"
+                         + (f" with obstruction {v['obstruction']}" if v["obstruction"] else ""))
+            lines.append(f"{head}: local sha (registry) = {g['registry']}")
+            if g["computed"] is not None:
+                agree = "agree" if g["agreement"] else "DISAGREE"
                 lines.append(
                     f"{head}: local sha (computed from presentation "
-                    f"[{leaf.presentation_source}]) = {leaf.computed_sha}; "
+                    f"[{g['presentation_source']}]) = {g['computed']}; "
                     f"registry and computation {agree}"
                 )
-                if leaf.divisible_part_flag:
+                if g["divisible_part_flag"]:
                     lines.append(f"{head}: unusual: computed group has a divisible part")
-                for w in leaf.witnesses or []:
+                for w in g["witnesses"] or []:
                     lines.append(f"{head}: generator witness ({', '.join(w)})")
 
+    summary = doc["global"]
     lines.append("")
     lines.append("== global ==")
-    if report.summary.corank is not None:
-        lines.append(f"corank of the Tate-Shafarevich group: {report.summary.corank}")
-    if report.summary.delta_eta is not None:
-        lines.append(f"gcd of multisection fibre degrees: {report.summary.delta_eta}")
-    if report.summary.note:
-        lines.append(f"note: {report.summary.note}")
-    if (report.summary.corank is None and report.summary.delta_eta is None
-            and not report.summary.note):
+    if summary["corank"] is not None:
+        lines.append(f"corank of the Tate-Shafarevich group: {summary['corank']}")
+    if summary["delta_eta_gcd"] is not None:
+        lines.append(f"gcd of multisection fibre degrees: {summary['delta_eta_gcd']}")
+    if summary["note"]:
+        lines.append(f"note: {summary['note']}")
+    if (summary["corank"] is None and summary["delta_eta_gcd"] is None
+            and not summary["note"]):
         lines.append("(nothing to report)")
 
-    if report.errors:
+    if doc["errors"]:
         lines.append("")
         lines.append("== errors ==")
-        for e in report.errors:
-            lines.append(f"{e.subject}: {e.kind}: {e.message}")
+        for e in doc["errors"]:
+            lines.append(f"{e['subject']}: {e['kind']}: {e['message']}")
     return "\n".join(lines) + "\n"

@@ -30,6 +30,12 @@ def is_infinite(v) -> bool:
     return v == INFINITY
 
 
+def render_valuation(v):
+    """A valuation as it is printed: "inf" for INFINITY, a finite one as
+    the int itself, so it reads the same in text and in JSON."""
+    return "inf" if v == INFINITY else v
+
+
 def _check_valuation(v, name: str):
     if v == INFINITY:
         return

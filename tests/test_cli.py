@@ -365,6 +365,32 @@ def test_report_refuses_huge_fibre_index_and_exponent(tmp_path, capsys):
         assert _single_error_line(capsys) == f"error: {message} in {bad}"
 
 
+def test_report_refuses_corank_too_long_to_print(tmp_path, capsys):
+    # the corank adds b2_X - rho_X and rho_S - b2_S, so one more digit
+    # than each value; at the default limit the values are 4300 nines
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    path = tmp_path / "corank.fib"
+    for nines, rc_expected in ((limit, EXIT_INPUT), (limit - 1, EXIT_OK)):
+        big = "9" * nines
+        path.write_text(
+            "[branch A] va=0 vb=0 vdelta=1\n"
+            f"[topology] b2_X={big} rho_X=0 b2_S=0 rho_S={big}\n",
+            encoding="utf-8",
+        )
+        rc, out = run("report", str(path))
+        assert rc == rc_expected
+        if rc == EXIT_INPUT:
+            assert out == ""
+            assert _single_error_line(capsys) == (
+                f"error: line 2, col 12: b2_X of {limit} digits exceeds the limit "
+                f"of {limit - 1} digits for [topology] values in {path}"
+            )
+        else:
+            assert f"corank of the Tate-Shafarevich group: 1{'9' * (limit - 2)}8\n" in out
+
+
 def test_report_at_fibre_index_bound(tmp_path):
     ok = tmp_path / "bound.fib"
     ok.write_text(f"[branch A] va=0 vb=0 vdelta={MAX_FIBRE_INDEX}\n", encoding="utf-8")
@@ -373,3 +399,66 @@ def test_report_at_fibre_index_bound(tmp_path):
     (branch,) = json.loads(out)["branches"]
     assert branch["type"] == f"I{MAX_FIBRE_INDEX}"
     assert len(branch["multiplicities"]) == MAX_FIBRE_INDEX
+
+
+# ---------------------------------------------------------------------------
+# JSON nested deeper than the decoder recurses
+
+
+def _deep_json(path: pathlib.Path) -> None:
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+
+
+def test_sha_local_deeply_nested_json(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    _deep_json(bad)
+    rc, out = run("sha-local", str(bad))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert _single_error_line(capsys) == f"error: JSON nesting too deep to decode in {bad}"
+
+
+def test_report_deeply_nested_presentation_directory(tmp_path, capsys):
+    pres = tmp_path / "presentations"
+    pres.mkdir()
+    bad = pres / "deep.json"
+    _deep_json(bad)
+    rc, out = run("report", str(CORPUS / "i2_i0star.fib"), "--presentations", str(pres))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert _single_error_line(capsys) == f"error: JSON nesting too deep to decode in {bad}"
+
+
+def test_report_deeply_nested_attached_presentation(tmp_path, capsys):
+    _deep_json(tmp_path / "deep.json")
+    doc = tmp_path / "attached.fib"
+    doc.write_text(
+        "[branch N2] va=0 vb=0 vdelta=2\n"
+        "[branch D0] va=2 vb=3 vdelta=6\n"
+        "[collision] N2 D0 presentation=deep.json\n",
+        encoding="utf-8",
+    )
+    rc, out = run("report", str(doc), "--format", "json")
+    assert rc == EXIT_ENGINE
+    assert capsys.readouterr().err == ""
+    parsed = json.loads(out)
+    assert parsed["collisions"][0]["status"] == "error"
+    assert parsed["errors"] == [{
+        "subject": "collision N2+D0",
+        "kind": "ValueError",
+        "message": "JSON nesting too deep to decode",
+    }]
+
+
+# ---------------------------------------------------------------------------
+# presentation fibre types
+
+
+def test_sha_local_refuses_unknown_fibre_types(tmp_path, capsys):
+    data = json.loads((CORPUS / "presentations" / "i2_i0star.json").read_text(encoding="utf-8"))
+    data["pair"][0] = data["branches"][0]["fibre_type"] = "XYZ"
+    bad = tmp_path / "xyz.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    rc, out = run("sha-local", str(bad))
+    assert (rc, out) == (EXIT_ENGINE, "")
+    assert _single_error_line(capsys) == (
+        f"error: PresentationInconsistent: cannot parse fibre type 'XYZ' in {bad}"
+    )

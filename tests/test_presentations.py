@@ -66,6 +66,8 @@ def test_presentation_bookkeeping_identity():
         )
     with pytest.raises(PresentationInconsistent):
         BranchPresentation("I1", ())
+    with pytest.raises(PresentationInconsistent, match="'I2x'"):
+        BranchPresentation("I2x", (DivisorRecord(1, 1, (1,)),))
 
 
 def test_tampered_multiplicity_is_rejected():
@@ -183,6 +185,15 @@ def test_presentation_from_dict_rejects_malformed_data():
     data = _builtin_as_dict()
     del data["branches"][0]["divisors"][0]["incidence"]
     with pytest.raises(PresentationInconsistent):
+        presentation_from_dict(data)
+    data = _builtin_as_dict()
+    data["pair"][0] = data["branches"][0]["fibre_type"] = "XYZ"  # not a Kodaira type
+    with pytest.raises(PresentationInconsistent, match="cannot parse fibre type 'XYZ'"):
+        presentation_from_dict(data)
+    data = _builtin_as_dict()
+    data["pair"][1] = "XYZ"
+    data["branches"] = data["branches"][:1]  # no second branch type to compare it with
+    with pytest.raises(PresentationInconsistent, match="cannot parse fibre type 'XYZ'"):
         presentation_from_dict(data)
 
 

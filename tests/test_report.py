@@ -1,4 +1,5 @@
-"""Tests for the whole-fibration analysis pipeline and its renderers."""
+"""Tests for the whole-fibration analysis pipeline, the report document it
+returns, and the two renderers that read that document."""
 
 import json
 import pathlib
@@ -21,27 +22,46 @@ def _analyze_file(name: str):
     return analyze(parse_description(text), base_dir=str(CORPUS))
 
 
+def _nodes(tree: dict):
+    """Every node of a blow-up tree document, parents first, left first."""
+    yield tree
+    for child in tree.get("children", ()):
+        yield from _nodes(child)
+
+
+def _leaves(tree: dict) -> list[dict]:
+    return [n for n in _nodes(tree) if "children" not in n]
+
+
+def _height(tree: dict) -> int:
+    return max(0 if n["path"] == "root" else len(n["path"]) for n in _leaves(tree))
+
+
+def _profile(va, vb, vdelta) -> dict:
+    return {"va": va, "vb": vb, "vdelta": vdelta}
+
+
 # ---------------------------------------------------------------------------
 # branch-level reporting
 
 
 def test_branch_reports_for_transverse_collision():
-    rep = _analyze_file("i2_i0star.fib")
-    assert not rep.has_errors
-    by_name = {b.name: b for b in rep.branches}
+    doc = _analyze_file("i2_i0star.fib")
+    assert doc["errors"] == []
+    by_name = {b["name"]: b for b in doc["branches"]}
     n2, d0 = by_name["N2"], by_name["D0"]
-    assert n2.fibre_type == "I2"
-    assert n2.minimal_profile == (0, 0, 2)
-    assert n2.twist_count == 0
-    assert n2.j_valuation == -2
-    assert n2.component_count == 2
-    assert n2.discriminant_group == "Z/2"
-    assert n2.sha_punctured == "(Q/Z)^1 + Z/2"
-    assert d0.fibre_type == "I0*"
-    assert d0.multiplicities == (1, 1, 1, 1, 2)
-    assert d0.discriminant_group == "Z/2 + Z/2"
-    assert d0.sha_punctured == "Z/2 + Z/2"
-    assert d0.j_valuation == 0
+    assert n2["type"] == "I2"
+    assert n2["minimal_profile"] == _profile(0, 0, 2)
+    assert n2["twists_removed"] == 0
+    assert n2["j_valuation"] == -2
+    assert n2["components"] == 2
+    assert n2["discriminant_group"] == "Z/2"
+    assert n2["sha_punctured"] == "(Q/Z)^1 + Z/2"
+    assert d0["type"] == "I0*"
+    assert d0["multiplicities"] == [1, 1, 1, 1, 2]
+    assert d0["discriminant_group"] == "Z/2 + Z/2"
+    assert d0["sha_punctured"] == "Z/2 + Z/2"
+    assert d0["j_valuation"] == 0
 
 
 EVERY_KIND = (
@@ -64,71 +84,75 @@ def test_branch_reports_need_no_lattice_or_smith_form(monkeypatch):
 
     monkeypatch.setattr(kodaira, "smith_normal_form", forbidden)
     monkeypatch.setattr(kodaira, "lattice_data", forbidden)
-    for rep in (
+    for doc in (
         _analyze_file("i2_i0star.fib"),
         _analyze_file("mixed_reduction.fib"),
         analyze(parse_description(EVERY_KIND)),
     ):
-        assert not rep.has_errors
-        render_text(rep)
-        render_json(rep)
-    by_name = {b.name: b for b in rep.branches}
-    assert [b.fibre_type for b in rep.branches] == [
+        assert doc["errors"] == []
+        render_text(doc)
+        render_json(doc)
+    by_name = {b["name"]: b for b in doc["branches"]}
+    assert [b["type"] for b in doc["branches"]] == [
         "I0", "I5", "I1*", "II", "III", "IV", "IV*", "III*", "II*"
     ]
-    assert by_name["D1"].discriminant_group == "Z/4"
-    assert by_name["D1"].multiplicities == (1, 1, 1, 1, 2, 2)
-    assert by_name["Cs"].discriminant_group == "0"
-    assert by_name["Cs"].component_count == 9
+    assert by_name["D1"]["discriminant_group"] == "Z/4"
+    assert by_name["D1"]["multiplicities"] == [1, 1, 1, 1, 2, 2]
+    assert by_name["Cs"]["discriminant_group"] == "0"
+    assert by_name["Cs"]["components"] == 9
 
 
 def test_branch_of_large_index():
-    rep = analyze(parse_description("[branch A] va=0 vb=0 vdelta=3000\n"))
-    assert not rep.has_errors
-    (b,) = rep.branches
-    assert b.fibre_type == "I3000"
-    assert b.component_count == 3000
-    assert b.multiplicities == (1,) * 3000
-    assert b.discriminant_group == "Z/3000"
-    assert b.sha_punctured == "(Q/Z)^1 + Z/3000"
+    doc = analyze(parse_description("[branch A] va=0 vb=0 vdelta=3000\n"))
+    assert doc["errors"] == []
+    (b,) = doc["branches"]
+    assert b["type"] == "I3000"
+    assert b["components"] == 3000
+    assert b["multiplicities"] == [1] * 3000
+    assert b["discriminant_group"] == "Z/3000"
+    assert b["sha_punctured"] == "(Q/Z)^1 + Z/3000"
 
 
 def test_leaf_report_uses_registry_presentation():
-    rep = _analyze_file("i2_i0star.fib")
-    (crep,) = rep.collisions
-    assert not crep.failed
-    assert crep.tree.height() == 0
-    (leaf,) = crep.leaves
-    assert leaf.path == "root"
-    assert (leaf.left_name, leaf.right_name) == ("N2", "D0")
-    assert (leaf.left_type, leaf.right_type) == ("I2", "I0*")
-    assert leaf.verdict == "PossiblyObstinate"
-    assert leaf.obstruction == "Z/2"
-    assert leaf.registry_sha == "Z/2"
-    assert leaf.computed_sha == "Z/2"
-    assert leaf.agreement is True
-    assert leaf.divisible_part_flag is False
-    assert leaf.presentation_source == "registry"
-    assert leaf.witnesses  # a generator of Z/2 is emitted
-    (w,) = leaf.witnesses
+    doc = _analyze_file("i2_i0star.fib")
+    (coll,) = doc["collisions"]
+    assert coll["status"] == "resolved"
+    (tree,) = doc["blowup_trees"]
+    assert _height(tree) == 0
+    (verdict,) = doc["verdicts"][0]
+    (group,) = doc["groups"][0]
+    assert verdict["path"] == group["path"] == "root"
+    (leaf,) = (n for n in _leaves(tree) if n["path"] == "root")
+    assert (leaf["left"]["name"], leaf["right"]["name"]) == ("N2", "D0")
+    assert (leaf["left"]["type"], leaf["right"]["type"]) == ("I2", "I0*")
+    assert verdict["pair"] == group["pair"] == "I2+I0*"
+    assert verdict["verdict"] == "PossiblyObstinate"
+    assert verdict["obstruction"] == "Z/2"
+    assert group["registry"] == "Z/2"
+    assert group["computed"] == "Z/2"
+    assert group["agreement"] is True
+    assert group["divisible_part_flag"] is False
+    assert group["presentation_source"] == "registry"
+    assert group["witnesses"]  # a generator of Z/2 is emitted
+    (w,) = group["witnesses"]
     assert len(w) == 7 and w.count("1/2") == 3
 
 
 def test_weierstrass_mode_axis_branches():
-    rep = _analyze_file("cuspidal_axis.fib")
-    assert not rep.has_errors
-    assert [b.name for b in rep.branches] == ["s-axis", "t-axis"]
-    assert [b.fibre_type for b in rep.branches] == ["II", "I0"]
-    assert rep.summary.all_irreducible is True
-    assert rep.summary.note == ALL_IRREDUCIBLE_NOTE
+    doc = _analyze_file("cuspidal_axis.fib")
+    assert doc["errors"] == []
+    assert [b["name"] for b in doc["branches"]] == ["s-axis", "t-axis"]
+    assert [b["type"] for b in doc["branches"]] == ["II", "I0"]
+    assert doc["global"]["all_fibres_irreducible"] is True
+    assert doc["global"]["note"] == ALL_IRREDUCIBLE_NOTE
 
 
 def test_rational_model_with_cancelling_discriminant():
-    rep = _analyze_file("rational_cancel.fib")
-    assert not rep.has_errors
-    assert [(b.name, b.fibre_type, b.input_profile) for b in rep.branches] == [
-        ("s-axis", "I1*", (2, 3, 7)),
-        ("t-axis", "I0", (0, 0, 0)),
+    doc = _analyze_file("rational_cancel.fib")
+    assert doc["errors"] == []
+    assert [(b["name"], b["type"], b["input_profile"]) for b in doc["branches"]] == [
+        ("s-axis", "I1*", _profile(2, 3, 7)),
+        ("t-axis", "I0", _profile(0, 0, 0)),
     ]
 
 
@@ -141,67 +165,70 @@ def test_polynomial_report_builds_one_discriminant(monkeypatch):
         return real(model)
 
     monkeypatch.setattr(weierstrass, "discriminant", counting)
-    rep = _analyze_file("axes_collision.fib")
-    render_json(rep)
-    render_text(rep)
+    doc = _analyze_file("axes_collision.fib")
+    render_json(doc)
+    render_text(doc)
     assert len(built) == 1
 
 
 def test_weierstrass_axes_collision_dissolves():
-    rep = _analyze_file("axes_collision.fib")
-    assert not rep.has_errors
-    assert [b.fibre_type for b in rep.branches] == ["I0*", "I0*"]
-    (crep,) = rep.collisions
-    assert crep.tree.root.status == "blown-up"
-    assert str(crep.tree.root.exceptional.fibre_type) == "I0"
-    assert all(n.status == "dissolved" for n in crep.tree.leaves())
-    assert crep.leaves == []  # nothing left to measure
+    doc = _analyze_file("axes_collision.fib")
+    assert doc["errors"] == []
+    assert [b["type"] for b in doc["branches"]] == ["I0*", "I0*"]
+    (tree,) = doc["blowup_trees"]
+    assert tree["status"] == "blown-up"
+    assert tree["exceptional"]["type"] == "I0"
+    assert all(n["status"] == "dissolved" for n in _leaves(tree))
+    assert doc["verdicts"] == [[]] and doc["groups"] == [[]]  # nothing left to measure
 
 
 def test_mixed_reduction_corpus():
-    rep = _analyze_file("mixed_reduction.fib")
-    assert not rep.has_errors
-    by_name = {b.name: b for b in rep.branches}
-    assert by_name["W"].twist_count == 1
-    assert by_name["W"].fibre_type == "I0*"
-    assert by_name["D2"].fibre_type == "I2*"
-    coll = {(c.left, c.right): c for c in rep.collisions}
+    doc = _analyze_file("mixed_reduction.fib")
+    assert doc["errors"] == []
+    by_name = {b["name"]: b for b in doc["branches"]}
+    assert by_name["W"]["twists_removed"] == 1
+    assert by_name["W"]["type"] == "I0*"
+    assert by_name["D2"]["type"] == "I2*"
+    coll = {(c["left"], c["right"]): c["index"] for c in doc["collisions"]}
 
     n2d2 = coll[("N2", "D2")]
-    (leaf,) = n2d2.leaves
-    assert leaf.verdict == "PossiblyObstinate"
-    assert leaf.registry_sha == "Z/2"
-    assert leaf.computed_sha is None  # no presentation known for I2 + I2*
-    assert leaf.presentation_source is None
+    (verdict,) = doc["verdicts"][n2d2]
+    (group,) = doc["groups"][n2d2]
+    assert verdict["verdict"] == "PossiblyObstinate"
+    assert group["registry"] == "Z/2"
+    assert group["computed"] is None  # no presentation known for I2 + I2*
+    assert group["presentation_source"] is None
 
     k1k2 = coll[("K1", "K2")]
-    assert k1k2.tree.root.status == "blown-up"
-    assert str(k1k2.tree.root.exceptional.fibre_type) == "IV"
-    assert [leaf.path for leaf in k1k2.leaves] == ["L", "R"]
-    for leaf in k1k2.leaves:
-        assert {leaf.left_type, leaf.right_type} == {"II", "IV"}
-        assert leaf.verdict == "NoIsolatedMultipleFibre"
-        assert leaf.registry_sha == "0"
+    tree = doc["blowup_trees"][k1k2]
+    assert tree["status"] == "blown-up"
+    assert tree["exceptional"]["type"] == "IV"
+    assert [v["path"] for v in doc["verdicts"][k1k2]] == ["L", "R"]
+    for verdict, group in zip(doc["verdicts"][k1k2], doc["groups"][k1k2]):
+        assert set(verdict["pair"].split("+")) == {"II", "IV"}
+        assert verdict["verdict"] == "NoIsolatedMultipleFibre"
+        assert group["registry"] == "0"
 
     n1d2 = coll[("N1", "D2")]
-    (leaf,) = n1d2.leaves
-    assert leaf.verdict == "NoIsolatedMultipleFibre"  # odd multiplicative index
-    assert leaf.registry_sha == "0"
+    (verdict,) = doc["verdicts"][n1d2]
+    (group,) = doc["groups"][n1d2]
+    assert verdict["verdict"] == "NoIsolatedMultipleFibre"  # odd multiplicative index
+    assert group["registry"] == "0"
 
-    assert rep.summary.delta_eta == 2
-    assert rep.summary.corank is None
-    assert rep.summary.all_irreducible is False
+    assert doc["global"]["delta_eta_gcd"] == 2
+    assert doc["global"]["corank"] is None
+    assert doc["global"]["all_fibres_irreducible"] is False
 
 
 def test_global_summary_from_topology():
-    rep = _analyze_file("nodal_net.fib")
-    assert not rep.has_errors
-    assert rep.summary.corank == 2
-    assert rep.summary.delta_eta == 3
-    assert rep.summary.all_irreducible is True  # two nodal fibres
-    (crep,) = rep.collisions
-    (leaf,) = crep.leaves
-    assert leaf.verdict == "NoIsolatedMultipleFibre"
+    doc = _analyze_file("nodal_net.fib")
+    assert doc["errors"] == []
+    assert doc["global"]["corank"] == 2
+    assert doc["global"]["delta_eta_gcd"] == 3
+    assert doc["global"]["all_fibres_irreducible"] is True  # two nodal fibres
+    (verdicts,) = doc["verdicts"]
+    (verdict,) = verdicts
+    assert verdict["verdict"] == "NoIsolatedMultipleFibre"
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +241,13 @@ def test_invalid_branch_is_reported_and_skipped():
         "[branch A] va=0 vb=0 vdelta=1\n"
         "[collision] X A\n"
     )
-    rep = analyze(d)
-    assert rep.has_errors
-    assert [b.name for b in rep.branches] == ["A"]
-    kinds = {(e.subject, e.kind) for e in rep.errors}
+    doc = analyze(d)
+    assert doc["errors"]
+    assert [b["name"] for b in doc["branches"]] == ["A"]
+    kinds = {(e["subject"], e["kind"]) for e in doc["errors"]}
     assert ("X", "InvalidProfile") in kinds
     assert ("collision X+A", "UnanalyzedBranch") in kinds
-    assert rep.collisions[0].failed is True
+    assert doc["collisions"][0]["status"] == "error"
 
 
 def test_inconsistent_collision_is_reported():
@@ -229,12 +256,12 @@ def test_inconsistent_collision_is_reported():
         "[branch C3] va=1 vb=2 vdelta=3\n"
         "[collision] C2 C3\n"
     )
-    rep = analyze(d)
-    (crep,) = rep.collisions
-    assert crep.failed is True
-    (err,) = rep.errors
-    assert err.kind == "ProfileInconsistent"
-    assert err.subject == "collision C2+C3"
+    doc = analyze(d)
+    (coll,) = doc["collisions"]
+    assert coll["status"] == "error"
+    (err,) = doc["errors"]
+    assert err["kind"] == "ProfileInconsistent"
+    assert err["subject"] == "collision C2+C3"
 
 
 def test_mismatched_explicit_presentation():
@@ -243,16 +270,17 @@ def test_mismatched_explicit_presentation():
         "[branch L2] va=0 vb=0 vdelta=1\n"
         "[collision] L1 L2 presentation=presentations/i2_i0star.json\n"
     )
-    rep = analyze(d, base_dir=str(CORPUS))
-    assert rep.has_errors
-    (err,) = rep.errors
-    assert err.kind == "PresentationInconsistent"
+    doc = analyze(d, base_dir=str(CORPUS))
+    assert doc["errors"]
+    (err,) = doc["errors"]
+    assert err["kind"] == "PresentationInconsistent"
     # the tree itself still resolves; only the attached data is rejected
-    (crep,) = rep.collisions
-    assert crep.failed is False
-    (leaf,) = crep.leaves
-    assert leaf.computed_sha is None
-    assert leaf.registry_sha == "0"
+    (coll,) = doc["collisions"]
+    assert coll["status"] == "resolved"
+    (groups,) = doc["groups"]
+    (group,) = groups
+    assert group["computed"] is None
+    assert group["registry"] == "0"
 
 
 def test_missing_presentation_file():
@@ -261,9 +289,9 @@ def test_missing_presentation_file():
         "[branch L2] va=0 vb=0 vdelta=1\n"
         "[collision] L1 L2 presentation=no/such/file.json\n"
     )
-    rep = analyze(d, base_dir=str(CORPUS))
-    assert rep.has_errors
-    assert rep.collisions[0].failed is True
+    doc = analyze(d, base_dir=str(CORPUS))
+    assert doc["errors"]
+    assert doc["collisions"][0]["status"] == "error"
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +299,9 @@ def test_missing_presentation_file():
 
 
 def test_render_json_shape_and_key_order():
-    rep = _analyze_file("i2_i0star.fib")
-    out = render_json(rep)
+    out = render_json(_analyze_file("i2_i0star.fib"))
     doc = json.loads(out)
+    assert doc == _analyze_file("i2_i0star.fib")
     assert list(doc) == [
         "format_version", "mode", "sha_punctured_hypothesis", "branches",
         "collisions", "blowup_trees", "verdicts", "groups", "global", "errors",
@@ -300,11 +328,9 @@ def test_render_json_is_deterministic():
 
 
 def test_render_json_infinite_valuations():
-    d = parse_description("[branch Q] va=inf vb=2 vdelta=4\n")
-    rep = analyze(d)
-    assert not rep.has_errors
-    doc = json.loads(render_json(rep))
-    branch = doc["branches"][0]
+    doc = analyze(parse_description("[branch Q] va=inf vb=2 vdelta=4\n"))
+    assert doc["errors"] == []
+    branch = json.loads(render_json(doc))["branches"][0]
     assert branch["type"] == "IV"
     assert branch["input_profile"]["va"] == "inf"
     assert branch["j_valuation"] == "inf"
@@ -324,8 +350,7 @@ def test_render_json_error_document():
 
 
 def test_render_text_lines():
-    rep = _analyze_file("i2_i0star.fib")
-    text = render_text(rep)
+    text = render_text(_analyze_file("i2_i0star.fib"))
     assert "N2: I2" in text
     assert "discriminant group: Z/2 + Z/2" in text
     assert "verdict PossiblyObstinate with obstruction Z/2" in text
@@ -336,8 +361,7 @@ def test_render_text_lines():
 
 
 def test_render_text_blowup_tree_and_errors():
-    rep = _analyze_file("mixed_reduction.fib")
-    text = render_text(rep)
+    text = render_text(_analyze_file("mixed_reduction.fib"))
     assert "[root] II + II  (K1 + K2): blown-up -> exceptional IV" in text
     assert "gcd of multisection fibre degrees: 2" in text
     d = parse_description(
