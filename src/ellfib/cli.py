@@ -15,7 +15,6 @@ from . import kodaira, report as report_mod
 from .collisions import (
     BranchGerm,
     CollisionPoint,
-    DEFAULT_MAX_DEPTH,
     blow_up,
     corank,
     delta_eta_gcd,
@@ -45,6 +44,13 @@ EXIT_ENGINE = 2
 def _valuation(text: str):
     if text.lower() in ("inf", "infinity"):
         return INFINITY
+    # as for [topology] values: the sum of two valuations, which a
+    # blow-up prints, stays short enough for str() (0: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(text) >= limit:
+        raise argparse.ArgumentTypeError(
+            f"valuation of {len(text)} characters exceeds the limit of {limit - 1} digits"
+        )
     try:
         v = int(text)
     except ValueError:
@@ -110,22 +116,24 @@ def _germs(args) -> CollisionPoint:
 
 
 def _cmd_blowup(args, out) -> int:
-    step = blow_up(_germs(args))
+    point = _germs(args)
+    step = blow_up(point)
     print(f"exceptional: {step.exceptional.fibre_type}", file=out)
     _print_profile(step.exceptional.profile, out)
     print(f"twists absorbed: {step.twist_count}", file=out)
     if step.dissolved:
         print("children: dissolved (exceptional fibre is not in the discriminant)", file=out)
     else:
-        for label, child in (("left", step.left_child), ("right", step.right_child)):
-            lt, rt = child.type_pair()
+        rt = step.exceptional.fibre_type
+        for label, germ in (("left", point.left), ("right", point.right)):
+            lt = germ.fibre_type
             status = "allowed" if is_miranda_allowed(lt, rt) else "needs further blow-ups"
             print(f"{label} child: {lt} + {rt} ({status})", file=out)
     return EXIT_OK
 
 
 def _cmd_reduce(args, out) -> int:
-    tree = miranda_reduce([_germs(args)], max_depth=args.max_depth)[0]
+    tree = miranda_reduce([_germs(args)])[0]
     lines: list[str] = []
     report_mod._tree_text(report_mod._tree_json(tree.root), lines, 0)
     for line in lines:
@@ -184,7 +192,6 @@ def _cmd_report(args, out) -> int:
         description,
         store=store,
         base_dir=os.path.dirname(os.path.abspath(args.input)),
-        max_depth=args.max_depth,
     )
     if args.format == "json":
         out.write(report_mod.render_json(doc))
@@ -227,8 +234,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         add_profile_args(p, "l")
         add_profile_args(p, "r")
-        if name == "reduce":
-            p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
         p.set_defaults(func=_cmd_blowup if name == "blowup" else _cmd_reduce)
 
     p = sub.add_parser("sha-local", help="local Tate-Shafarevich group from a presentation file")
@@ -251,7 +256,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="analyze a fibration description file")
     p.add_argument("input")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p.add_argument("--presentations", help="directory of extension presentation files")
     p.set_defaults(func=_cmd_report)
 

@@ -10,8 +10,8 @@ discriminant relation do not come from such a model and are rejected as
 ProfileInconsistent.
 
 Blowing up repeatedly drives every collision to one of the seven
-resolvable patterns (the worklist stays within a small depth in
-practice) or dissolves it entirely.
+resolvable patterns (within depth 5 on every pair tried, far below
+MAX_BLOWUP_DEPTH) or dissolves it entirely.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .weierstrass import (
 )
 
 __all__ = [
+    "MAX_BLOWUP_DEPTH",
     "BranchGerm",
     "CollisionPoint",
     "BlowupResult",
@@ -58,7 +59,30 @@ ALLOWED = "allowed"
 DISSOLVED = "dissolved"
 BLOWN_UP = "blown-up"
 
-DEFAULT_MAX_DEPTH = 64
+# Deepest blow-up path miranda_reduce follows before it raises
+# DepthExceeded.  Every pair of minimal profiles tried so far resolves or
+# dissolves within depth 5 (tests/test_collisions.py), so the bound only
+# guards against a defect in the reduction itself.
+MAX_BLOWUP_DEPTH = 64
+
+NO_MULTIPLE_FIBRE = "NoIsolatedMultipleFibre"
+POSSIBLY_OBSTINATE = "PossiblyObstinate"
+POSSIBLY_LOCALLY_TRIVIAL = "PossiblyLocallyTrivial"
+
+# The resolvable pairs of fixed types (Miranda's list) with the two facts
+# attached to each: the order of the local Tate-Shafarevich group and the
+# kind of multiple-fibre verdict.  _resolvable adds the I+I and I+I*
+# families.
+_FIXED_PAIRS = {
+    frozenset(map(KodairaType.parse, pair)): facts
+    for pair, facts in (
+        (("II", "IV"), (1, NO_MULTIPLE_FIBRE)),
+        (("II", "I0*"), (1, NO_MULTIPLE_FIBRE)),
+        (("II", "IV*"), (1, NO_MULTIPLE_FIBRE)),
+        (("IV", "I0*"), (1, POSSIBLY_LOCALLY_TRIVIAL)),
+        (("III", "I0*"), (2, POSSIBLY_OBSTINATE)),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -106,22 +130,29 @@ class CollisionPoint:
         return (self.left.fibre_type, self.right.fibre_type)
 
 
+def _resolvable(left: KodairaType, right: KodairaType) -> tuple[int, str] | None:
+    """(local Sha order, verdict kind) of a resolvable pair, in either
+    order; None when the pair is not on Miranda's list."""
+    for a, b in ((left, right), (right, left)):
+        if a.is_multiplicative and b.is_multiplicative:
+            return 1, NO_MULTIPLE_FIBRE
+        if a.is_multiplicative and b.kind == "I*":
+            # I_M1 + I*_M2 carries an obstinate Z/2 exactly when M1 is even
+            return (2, POSSIBLY_OBSTINATE) if a.index % 2 == 0 else (1, NO_MULTIPLE_FIBRE)
+    return _FIXED_PAIRS.get(frozenset((left, right)))
+
+
+def _resolvable_or_raise(left: KodairaType, right: KodairaType) -> tuple[int, str]:
+    facts = _resolvable(left, right)
+    if facts is None:
+        raise NotMirandaAllowed(f"{left} + {right} is not a resolvable collision")
+    return facts
+
+
 def is_miranda_allowed(left: KodairaType, right: KodairaType) -> bool:
     """Whether the unordered type pair is directly resolvable:
     I+I, I+I*, II+IV, II+I0*, II+IV*, IV+I0*, III+I0*."""
-    for a, b in ((left, right), (right, left)):
-        if a.is_multiplicative and (b.is_multiplicative or b.kind == "I*"):
-            return True
-        pair = (str(a), str(b))
-        if pair in {
-            ("II", "IV"),
-            ("II", "I0*"),
-            ("II", "IV*"),
-            ("IV", "I0*"),
-            ("III", "I0*"),
-        }:
-            return True
-    return False
+    return _resolvable(left, right) is not None
 
 
 def _sum_valuation(x, y):
@@ -134,12 +165,10 @@ def _sum_valuation(x, y):
 class BlowupResult:
     exceptional: BranchGerm
     twist_count: int
-    left_child: CollisionPoint | None
-    right_child: CollisionPoint | None
 
     @property
     def dissolved(self) -> bool:
-        return self.left_child is None
+        return self.exceptional.profile.vdelta == 0
 
 
 def blow_up(c: CollisionPoint) -> BlowupResult:
@@ -148,9 +177,8 @@ def blow_up(c: CollisionPoint) -> BlowupResult:
     The exceptional curve meets the strict transforms of both branches;
     its raw profile is the componentwise sum of the branch profiles,
     which is then made minimal and classified.  Each original branch now
-    crosses the exceptional curve at a separate point; those two child
-    crossings are returned, or dropped when the exceptional fibre is
-    smooth (vdelta = 0) and no collision remains.
+    crosses the exceptional curve at a separate point, unless the
+    exceptional fibre is smooth (vdelta = 0) and no collision remains.
     """
     l, r = c.left.profile, c.right.profile
     va = _sum_valuation(l.va, r.va)
@@ -164,15 +192,7 @@ def blow_up(c: CollisionPoint) -> BlowupResult:
             f"{c.right.name!r} admits no monomial model: {exc}"
         ) from exc
     minimal, twists = minimalize(raw)
-    exceptional = BranchGerm(f"E({c.left.name}|{c.right.name})", minimal)
-    if minimal.vdelta == 0:
-        return BlowupResult(exceptional, twists, None, None)
-    return BlowupResult(
-        exceptional,
-        twists,
-        CollisionPoint(c.left, exceptional),
-        CollisionPoint(c.right, exceptional),
-    )
+    return BlowupResult(BranchGerm(f"E({c.left.name}|{c.right.name})", minimal), twists)
 
 
 @dataclass(frozen=True)
@@ -217,79 +237,48 @@ class BlowupTree:
         return max(n.depth for n in self.leaves())
 
 
-def _expand(left: BranchGerm, right: BranchGerm, depth: int, path: str,
-            max_depth: int) -> BlowupNode:
+def _expand(left: BranchGerm, right: BranchGerm, depth: int, path: str) -> BlowupNode:
     if left.profile.vdelta == 0 or right.profile.vdelta == 0:
         return BlowupNode(left, right, depth, path, DISSOLVED)
     if is_miranda_allowed(left.fibre_type, right.fibre_type):
         return BlowupNode(left, right, depth, path, ALLOWED)
-    if depth >= max_depth:
+    if depth >= MAX_BLOWUP_DEPTH:
         raise DepthExceeded(
             f"collision {left.name!r} + {right.name!r} not resolved within "
-            f"depth {max_depth}"
+            f"depth {MAX_BLOWUP_DEPTH}"
         )
     step = blow_up(CollisionPoint(left, right))
     # short positional name: the tree already records what was blown up
     exc = BranchGerm("E" if not path else f"E:{path}", step.exceptional.profile)
     kids = (
-        _expand(left, exc, depth + 1, path + "L", max_depth),
-        _expand(right, exc, depth + 1, path + "R", max_depth),
+        _expand(left, exc, depth + 1, path + "L"),
+        _expand(right, exc, depth + 1, path + "R"),
     )
     return BlowupNode(
         left, right, depth, path, BLOWN_UP, exc, step.twist_count, kids
     )
 
 
-def miranda_reduce(
-    collisions, max_depth: int = DEFAULT_MAX_DEPTH
-) -> list[BlowupTree]:
+def miranda_reduce(collisions) -> list[BlowupTree]:
     """Resolve each collision by repeated blow-ups until every remaining
     crossing is allowed or dissolved.  Children are explored left first;
-    paths longer than max_depth raise DepthExceeded."""
-    trees = []
-    for c in collisions:
-        trees.append(BlowupTree(_expand(c.left, c.right, 0, "", max_depth)))
-    return trees
-
-
-def _match_pair(left: KodairaType, right: KodairaType, kind_a: str, kind_b: str):
-    """Orient an unordered pair against (kind_a, kind_b); None if no fit."""
-    if left.kind == kind_a and right.kind == kind_b:
-        return left, right
-    if right.kind == kind_a and left.kind == kind_b:
-        return right, left
-    return None
+    paths longer than MAX_BLOWUP_DEPTH raise DepthExceeded."""
+    return [BlowupTree(_expand(c.left, c.right, 0, "")) for c in collisions]
 
 
 def expected_local_sha(left: KodairaType, right: KodairaType) -> DivisibleGroup:
     """Local Tate-Shafarevich group of a small neighbourhood of the
-    resolved collision, from the closed-form table.
-
-    Nontrivial (Z/2) exactly for III + I0* and for I_M1 + I_M2* with M1
-    even; every other resolvable collision gives the trivial group.
-    """
-    if not is_miranda_allowed(left, right):
-        raise NotMirandaAllowed(f"{left} + {right} is not a resolvable collision")
-    fit = _match_pair(left, right, "I", "I*")
-    if fit is not None and fit[0].index % 2 == 0:
-        return DivisibleGroup.cyclic(2)
-    fit = _match_pair(left, right, "III", "I*")
-    if fit is not None:
-        return DivisibleGroup.cyclic(2)
-    return DivisibleGroup.trivial()
-
-
-NO_MULTIPLE_FIBRE = "NoIsolatedMultipleFibre"
-POSSIBLY_OBSTINATE = "PossiblyObstinate"
-POSSIBLY_LOCALLY_TRIVIAL = "PossiblyLocallyTrivial"
+    resolved collision, read off the resolvable-pair table."""
+    order, _ = _resolvable_or_raise(left, right)
+    return DivisibleGroup.cyclic(order)
 
 
 @dataclass(frozen=True)
 class MultipleFibreVerdict:
     """Whether a torsor can acquire an isolated multiple fibre over the
-    collision: obstinate torsors (nontrivial even locally) can appear
-    only over I_even + I* and III + I0*; locally trivial torsors with an
-    isolated multiple fibre only over IV + I0*."""
+    collision: obstinate torsors (nontrivial even locally) carry the
+    local Sha as their obstruction; the resolvable-pair table says which
+    pairs admit which kind."""
 
     kind: str
     obstruction: DivisibleGroup | None = None
@@ -301,16 +290,10 @@ class MultipleFibreVerdict:
 
 
 def multiple_fibre_verdict(left: KodairaType, right: KodairaType) -> MultipleFibreVerdict:
-    if not is_miranda_allowed(left, right):
-        raise NotMirandaAllowed(f"{left} + {right} is not a resolvable collision")
-    if _match_pair(left, right, "IV", "I*") is not None:
-        return MultipleFibreVerdict(POSSIBLY_LOCALLY_TRIVIAL)
-    fit = _match_pair(left, right, "I", "I*")
-    if fit is not None and fit[0].index % 2 == 0:
-        return MultipleFibreVerdict(POSSIBLY_OBSTINATE, expected_local_sha(left, right))
-    if _match_pair(left, right, "III", "I*") is not None:
-        return MultipleFibreVerdict(POSSIBLY_OBSTINATE, expected_local_sha(left, right))
-    return MultipleFibreVerdict(NO_MULTIPLE_FIBRE)
+    order, kind = _resolvable_or_raise(left, right)
+    if kind == POSSIBLY_OBSTINATE:
+        return MultipleFibreVerdict(kind, DivisibleGroup.cyclic(order))
+    return MultipleFibreVerdict(kind)
 
 
 def corank(b2_X: int, rho_X: int, b2_S: int, rho_S: int) -> int:

@@ -35,7 +35,16 @@ from .exact_linalg import (
 )
 from .weierstrass import KodairaType
 
+# Most central components, and most divisors over all branches, that a
+# presentation file may hold.  The cost of the kernel grows faster than
+# cubically on dense data: `sha-local` on a dense 64 x 64 presentation
+# with one-digit entries takes about 3 s, an 80 x 80 one about 16 s
+# (one core of a shared 2-core machine, Python 3.11).  The shipped
+# I2 + I0* has 6 central components and 7 divisors.
+MAX_PRESENTATION_SIZE = 64
+
 __all__ = [
+    "MAX_PRESENTATION_SIZE",
     "DivisorRecord",
     "BranchPresentation",
     "CollisionPresentation",
@@ -211,21 +220,45 @@ def builtin_presentations() -> dict[tuple[str, str], CollisionPresentation]:
     return {("I2", "I0*"): i2_i0star}
 
 
+def _json_int(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PresentationInconsistent(
+            f"{field} must be an integer, not {type(value).__name__}"
+        )
+    return value
+
+
+def _json_str(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise PresentationInconsistent(f"{field} must be a string, not {type(value).__name__}")
+    return value
+
+
 def presentation_from_dict(data: dict) -> tuple[tuple[str, str], CollisionPresentation]:
     """Build a presentation from parsed JSON; see the README for the file
     layout.  Returns (type pair, presentation)."""
     try:
-        pair = tuple(str(x) for x in data["pair"])
-        central = tuple(int(x) for x in data["central_multiplicities"])
+        pair = tuple(_json_str(x, "pair entry") for x in data["pair"])
+        central_data, branch_data = data["central_multiplicities"], data["branches"]
+        divisor_count = sum(len(br["divisors"]) for br in branch_data)
+        if max(len(central_data), divisor_count) > MAX_PRESENTATION_SIZE:
+            raise PresentationInconsistent(
+                f"presentation has {len(central_data)} central components and "
+                f"{divisor_count} divisors; at most {MAX_PRESENTATION_SIZE} of each "
+                "are loaded (MAX_PRESENTATION_SIZE)"
+            )
+        central = tuple(_json_int(x, "central multiplicity") for x in central_data)
         branches = []
-        for br in data["branches"]:
+        for br in branch_data:
             divisors = tuple(
                 DivisorRecord(
-                    int(dv["m"]), int(dv["r"]), tuple(int(x) for x in dv["incidence"])
+                    _json_int(dv["m"], "m"),
+                    _json_int(dv["r"], "r"),
+                    tuple(_json_int(x, "incidence entry") for x in dv["incidence"]),
                 )
                 for dv in br["divisors"]
             )
-            branches.append(BranchPresentation(str(br["fibre_type"]), divisors))
+            branches.append(BranchPresentation(_json_str(br["fibre_type"], "fibre_type"), divisors))
     except (KeyError, TypeError, ValueError) as exc:
         raise PresentationInconsistent(f"malformed presentation data: {exc}") from exc
     if len(pair) != 2:

@@ -19,7 +19,6 @@ from .collisions import (
     BlowupNode,
     BranchGerm,
     CollisionPoint,
-    DEFAULT_MAX_DEPTH,
     expected_local_sha,
     corank as corank_of,
     delta_eta_gcd,
@@ -182,7 +181,6 @@ def _collision_json(
     germs: dict[str, BranchGerm],
     store: PresentationStore,
     base_dir: str | None,
-    max_depth: int,
     errors: list[dict],
 ) -> tuple[dict | None, list[tuple[dict, dict]]]:
     """The blow-up tree of one collision and the (verdict, group) entries
@@ -210,7 +208,7 @@ def _collision_json(
 
     try:
         point = CollisionPoint(germs[c.left], germs[c.right])
-        tree = miranda_reduce([point], max_depth=max_depth)[0]
+        tree = miranda_reduce([point])[0]
     except FibrationError as exc:
         _error(errors, subject, exc)
         return None, []
@@ -224,7 +222,6 @@ def analyze(
     d: FibrationDescription,
     store: PresentationStore | None = None,
     base_dir: str | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> dict:
     """Run the full pipeline on a parsed description and return the
     report document: a dict of JSON values in the fixed key order of
@@ -256,7 +253,7 @@ def analyze(
 
     collisions, trees, verdicts, groups = [], [], [], []
     for i, c in enumerate(d.collisions):
-        tree, leaves = _collision_json(c, germs, store, base_dir, max_depth, errors)
+        tree, leaves = _collision_json(c, germs, store, base_dir, errors)
         collisions.append({
             "index": i,
             "left": c.left,

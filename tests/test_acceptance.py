@@ -309,8 +309,8 @@ def test_criterion_08_reduction_termination():
         p, q = canonical(lt), canonical(rt)
         point = CollisionPoint(BranchGerm("L", p), BranchGerm("R", q))
         if summed_profile_is_consistent(p, q):
-            tree = miranda_reduce([point], max_depth=16)[0]
-            assert tree.height() <= 16
+            tree = miranda_reduce([point])[0]
+            assert tree.height() <= 5
             for leaf in tree.leaves():
                 assert leaf.status in ("allowed", "dissolved")
                 if leaf.status == "allowed":
@@ -318,7 +318,7 @@ def test_criterion_08_reduction_termination():
             terminated += 1
         else:
             with pytest.raises(ProfileInconsistent):
-                miranda_reduce([point], max_depth=16)
+                miranda_reduce([point])
             inconsistent += 1
     assert (terminated, inconsistent) == (64, 56)
 

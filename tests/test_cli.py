@@ -7,9 +7,11 @@ import sys
 
 import pytest
 
+from ellfib import collisions
 from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, build_arg_parser, main
 from ellfib.kodaira import MAX_LATTICE_COMPONENTS
 from ellfib.parser import MAX_EXPONENT, MAX_FIBRE_INDEX
+from ellfib.presentations import MAX_PRESENTATION_SIZE
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -107,12 +109,45 @@ def test_reduce_command():
     assert out.splitlines() == ["[root] I2 + I0*  (left + right): allowed", "height: 0"]
 
 
-def test_reduce_depth_limit(capsys):
-    rc, _ = run("reduce", "4", "5", "10", "4", "5", "10", "--max-depth", "3")
+def test_reduce_depth_limit(capsys, monkeypatch):
+    monkeypatch.setattr(collisions, "MAX_BLOWUP_DEPTH", 3)
+    rc, _ = run("reduce", "4", "5", "10", "4", "5", "10")
     assert rc == EXIT_ENGINE
     assert "DepthExceeded" in capsys.readouterr().err
-    rc, _ = run("reduce", "4", "5", "10", "4", "5", "10", "--max-depth", "5")
+    monkeypatch.setattr(collisions, "MAX_BLOWUP_DEPTH", 5)
+    rc, _ = run("reduce", "4", "5", "10", "4", "5", "10")
     assert rc == EXIT_OK
+    # the bound is no longer a command-line option
+    with pytest.raises(SystemExit):
+        run("reduce", "4", "5", "10", "4", "5", "10", "--max-depth", "5")
+
+
+def test_valuations_too_long_to_print(capsys):
+    # I_N* + I_N* blows up to I_2N: with N of 4300 nines its index has
+    # 4301 digits, more than str() converts at the default limit
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+        pytest.skip("needs Python's default integer string limit of 4300 digits")
+    big = "9" * 4300
+    for command in ("reduce", "blowup"):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "2", "3", big, "2", "3", big)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"ellfib {command}: error: argument lvdelta: valuation of 4300 "
+            "characters exceeds the limit of 4299 digits"
+        )
+    # one digit fewer: the blown-up index has 4300 digits and prints
+    rc, out = run("reduce", "2", "3", big[1:], "2", "3", big[1:])
+    n = int(big[1:]) - 6
+    assert rc == EXIT_OK
+    assert out.splitlines()[0] == (
+        f"[root] I{n}* + I{n}*  (left + right): blown-up -> exceptional "
+        f"I{2 * n} (1 twist(s) absorbed)"
+    )
+    rc, out = run("classify", "0", "0", big[1:])
+    assert (rc, out.splitlines()[0]) == (EXIT_OK, "I" + big[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -462,3 +497,50 @@ def test_sha_local_refuses_unknown_fibre_types(tmp_path, capsys):
     assert _single_error_line(capsys) == (
         f"error: PresentationInconsistent: cannot parse fibre type 'XYZ' in {bad}"
     )
+
+
+def _shipped_presentation() -> dict:
+    return json.loads((CORPUS / "presentations" / "i2_i0star.json").read_text(encoding="utf-8"))
+
+
+def test_sha_local_refuses_numbers_that_are_not_integers(tmp_path, capsys):
+    # each copy once loaded as m = 1, r = 1 or multiplicity 1 and
+    # reported the shipped group
+    bad = tmp_path / "typed.json"
+    for edit, message in (
+        (lambda d: d["branches"][0]["divisors"][0].update(m=1.9), "m must be an integer, not float"),
+        (lambda d: d["branches"][1]["divisors"][0].update(r=True), "r must be an integer, not bool"),
+        (lambda d: d["central_multiplicities"].__setitem__(0, "1"),
+         "central multiplicity must be an integer, not str"),
+    ):
+        data = _shipped_presentation()
+        edit(data)
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        rc, out = run("sha-local", str(bad))
+        assert (rc, out) == (EXIT_ENGINE, "")
+        assert _single_error_line(capsys) == f"error: PresentationInconsistent: {message} in {bad}"
+
+
+def test_sha_local_refuses_presentation_over_size_bound(tmp_path, capsys):
+    # identity-shaped: one branch whose unit divisors sweep the central
+    # components one each; at the bound it loads, one more is refused
+    path = tmp_path / "large.json"
+    for c, rc_expected in ((MAX_PRESENTATION_SIZE, EXIT_OK), (MAX_PRESENTATION_SIZE + 1, EXIT_ENGINE)):
+        units = [[int(i == j) for j in range(c)] for i in range(c)]
+        path.write_text(json.dumps({
+            "pair": ["I2", "I0*"],
+            "central_multiplicities": [1] * c,
+            "branches": [{"fibre_type": "I2",
+                          "divisors": [{"m": 1, "r": 1, "incidence": e} for e in units]}],
+        }), encoding="utf-8")
+        rc, out = run("sha-local", str(path))
+        assert rc == rc_expected
+        if rc == EXIT_OK:
+            assert out.splitlines()[0] == "local sha: 0"
+        else:
+            assert out == ""
+            assert _single_error_line(capsys) == (
+                f"error: PresentationInconsistent: presentation has {c} central "
+                f"components and {c} divisors; at most {MAX_PRESENTATION_SIZE} of "
+                f"each are loaded (MAX_PRESENTATION_SIZE) in {path}"
+            )

@@ -1,8 +1,12 @@
 """Tests for collision points, single blow-ups, the full reduction to
 resolvable or dissolved crossings, and the closed-form verdict table."""
 
+import hashlib
+import itertools
+
 import pytest
 
+from ellfib import collisions
 from ellfib.collisions import (
     ALLOWED,
     BLOWN_UP,
@@ -24,13 +28,14 @@ from ellfib.collisions import (
 from ellfib.errors import (
     AllZero,
     DepthExceeded,
+    FibrationError,
     InvalidCollision,
     NegativeCorank,
     NotMirandaAllowed,
     ProfileInconsistent,
 )
 from ellfib.exact_linalg import DivisibleGroup
-from ellfib.weierstrass import KodairaType, ValuationProfile
+from ellfib.weierstrass import INFINITY, KodairaType, ValuationProfile
 
 from support import canonical_profile, summed_profile_is_consistent, types_with_index_up_to
 
@@ -96,22 +101,27 @@ def test_miranda_allowed_patterns():
 
 
 def test_blow_up_multiplicative_pairs_add_indices():
-    step = blow_up(_point("I1", "I1"))
+    point = _point("I1", "I1")
+    step = blow_up(point)
     assert str(step.exceptional.fibre_type) == "I2"
     assert step.twist_count == 0
     assert not step.dissolved
-    assert step.left_child.type_pair()[1] == step.exceptional.fibre_type
+    # each branch now crosses the exceptional curve: I1 + I2, allowed
+    child = CollisionPoint(point.left, step.exceptional)
+    assert [str(t) for t in child.type_pair()] == ["I1", "I2"]
+    assert is_miranda_allowed(*child.type_pair())
     step = blow_up(_point("I2", "I3"))
     assert str(step.exceptional.fibre_type) == "I5"
 
 
 def test_blow_up_additive_examples():
     # II + II: summed profile (2, 2, 4) is type IV, both children allowed
-    step = blow_up(_point("II", "II"))
+    point = _point("II", "II")
+    step = blow_up(point)
     assert str(step.exceptional.fibre_type) == "IV"
     assert step.twist_count == 0
-    for child in (step.left_child, step.right_child):
-        assert is_miranda_allowed(*child.type_pair())
+    for germ in (point.left, point.right):
+        assert is_miranda_allowed(germ.fibre_type, step.exceptional.fibre_type)
     # I1 + I0*: summed profile (2, 3, 7) is type I1*
     step = blow_up(_point("I1", "I0*"))
     assert str(step.exceptional.fibre_type) == "I1*"
@@ -124,7 +134,7 @@ def test_blow_up_absorbs_twists_and_dissolves():
     assert step.dissolved
     assert step.twist_count == 1
     assert step.exceptional.fibre_type.is_smooth
-    assert step.left_child is None and step.right_child is None
+    assert step.exceptional.profile.vdelta == 0
 
 
 def test_blow_up_rejects_inconsistent_sums():
@@ -184,11 +194,13 @@ def test_reduce_deep_chain():
             assert leaf.left.profile.vdelta == 0 or leaf.right.profile.vdelta == 0
 
 
-def test_reduce_depth_bound():
-    with pytest.raises(DepthExceeded):
-        miranda_reduce([_point("II*", "II*")], max_depth=3)
+def test_reduce_depth_bound(monkeypatch):
+    monkeypatch.setattr(collisions, "MAX_BLOWUP_DEPTH", 3)
+    with pytest.raises(DepthExceeded, match="within depth 3$"):
+        miranda_reduce([_point("II*", "II*")])
     # the bound is about depth, not node count
-    miranda_reduce([_point("II*", "II*")], max_depth=5)
+    monkeypatch.setattr(collisions, "MAX_BLOWUP_DEPTH", 5)
+    miranda_reduce([_point("II*", "II*")])
 
 
 def test_reduce_exceptional_names_follow_paths():
@@ -211,13 +223,13 @@ def test_reduce_sweep_small_indices():
             pa, pb = canonical_profile(a), canonical_profile(b)
             point = CollisionPoint(BranchGerm("A", pa), BranchGerm("B", pb))
             if is_miranda_allowed(a, b) or summed_profile_is_consistent(pa, pb):
-                tree = miranda_reduce([point], max_depth=16)[0]
-                assert tree.height() <= 16
+                tree = miranda_reduce([point])[0]
+                assert tree.height() <= 5
                 assert all(n.status in (ALLOWED, DISSOLVED) for n in tree.leaves())
                 consistent += 1
             else:
                 with pytest.raises(ProfileInconsistent):
-                    miranda_reduce([point], max_depth=16)
+                    miranda_reduce([point])
                 inconsistent += 1
     assert consistent > 20 and inconsistent > 10
 
@@ -286,3 +298,61 @@ def test_delta_eta_gcd():
         delta_eta_gcd((0, 0))
     with pytest.raises(AllZero):
         delta_eta_gcd(())
+
+
+# ---------------------------------------------------------------------------
+# pinned behaviour of the collision policy and of the reduction depth
+
+
+_POLICY_TYPES = (
+    [KodairaType("I", n) for n in range(9)]
+    + [KodairaType("I*", n) for n in range(9)]
+    + [KodairaType(k) for k in ("II", "III", "IV", "IV*", "III*", "II*")]
+)
+
+
+def test_collision_policy_fingerprint():
+    # one line per ordered pair: the gate, the local Sha and the verdict
+    # (or the class of the error each raises); the digest was taken from
+    # the three functions as they stood when each had its own case list
+    digest = hashlib.sha256()
+    allowed = 0
+    for a in _POLICY_TYPES:
+        for b in _POLICY_TYPES:
+            parts = [str(a), str(b), str(is_miranda_allowed(a, b))]
+            allowed += is_miranda_allowed(a, b)
+            for f in (expected_local_sha, multiple_fibre_verdict):
+                try:
+                    parts.append(str(f(a, b)))
+                except FibrationError as exc:
+                    parts.append(type(exc).__name__)
+            digest.update((" ".join(parts) + "\n").encode())
+    assert len(_POLICY_TYPES) ** 2 == 576 and allowed == 218
+    assert digest.hexdigest() == (
+        "4b8c173d21a0d3e6fa6ce04cebaec95c23a026d2b1268e4879e79310226172f1"
+    )
+
+
+def test_reduction_depth_census():
+    # every minimal degenerate germ with va, vb in {0..7, inf} and
+    # vdelta < 40, collided with every other in both orders: each pair is
+    # either inconsistent or resolves within depth 5, far below the bound
+    values = list(range(8)) + [INFINITY]
+    germs = []
+    for va, vb, vd in itertools.product(values, values, range(1, 40)):
+        try:
+            germs.append(BranchGerm("g", ValuationProfile(va, vb, vd)))
+        except FibrationError:
+            continue
+    assert len(germs) == 121
+    inconsistent = resolved = height = 0
+    for g, h in itertools.product(germs, germs):
+        try:
+            tree = miranda_reduce([CollisionPoint(g, h)])[0]
+        except ProfileInconsistent:
+            inconsistent += 1
+            continue
+        resolved += 1
+        height = max(height, tree.height())
+    assert (inconsistent, resolved) == (6844, 7797)
+    assert height == 5

@@ -191,6 +191,14 @@ def test_presentation_from_dict_rejects_malformed_data():
     with pytest.raises(PresentationInconsistent, match="cannot parse fibre type 'XYZ'"):
         presentation_from_dict(data)
     data = _builtin_as_dict()
+    data["pair"][1] = 2  # numbers are not coerced to type names
+    with pytest.raises(PresentationInconsistent, match="pair entry must be a string, not int"):
+        presentation_from_dict(data)
+    data = _builtin_as_dict()
+    data["branches"][0]["fibre_type"] = None
+    with pytest.raises(PresentationInconsistent, match="fibre_type must be a string, not NoneType"):
+        presentation_from_dict(data)
+    data = _builtin_as_dict()
     data["pair"][1] = "XYZ"
     data["branches"] = data["branches"][:1]  # no second branch type to compare it with
     with pytest.raises(PresentationInconsistent, match="cannot parse fibre type 'XYZ'"):
