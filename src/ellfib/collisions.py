@@ -16,6 +16,7 @@ MAX_BLOWUP_DEPTH) or dissolves it entirely.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import gcd
 
@@ -101,6 +102,13 @@ class BranchGerm:
     @property
     def fibre_type(self) -> KodairaType:
         return self._fibre_type
+
+    def _renamed(self, name: str) -> "BranchGerm":
+        """The same germ under another name, keeping the fibre type
+        already classified instead of classifying the profile again."""
+        germ = copy.copy(self)
+        object.__setattr__(germ, "name", name)
+        return germ
 
     @property
     def is_degenerate(self) -> bool:
@@ -249,7 +257,7 @@ def _expand(left: BranchGerm, right: BranchGerm, depth: int, path: str) -> Blowu
         )
     step = blow_up(CollisionPoint(left, right))
     # short positional name: the tree already records what was blown up
-    exc = BranchGerm("E" if not path else f"E:{path}", step.exceptional.profile)
+    exc = step.exceptional._renamed("E" if not path else f"E:{path}")
     kids = (
         _expand(left, exc, depth + 1, path + "L"),
         _expand(right, exc, depth + 1, path + "R"),

@@ -8,11 +8,14 @@ acts surjectively on Q/Z, so in Smith coordinates the image of the map is
 exactly "first rank(A) coordinates arbitrary" and the kernel is a sum of
 cyclic groups Z/d_i plus a divisible part.
 
-Only qz_kernel (and induced_kernel's last step, which calls it) needs D
-alone; it runs the loop on a copy of the matrix and builds no transform.
-smith_normal_form mirrors each of the loop's elementary operations into
-U, V and their inverses; cokernel_chart, induced_kernel's cokernel
-coordinates and induced_kernel_with_witnesses use those transforms.
+qz_kernel (and induced_kernel's last step, which calls it) needs D alone;
+it runs the loop on a copy of the matrix and records nothing.
+smith_normal_form runs the loop once and records its elementary
+operations; each of U, V and their inverses is built on first read by
+replaying that record onto an identity matrix.  Every caller reads one
+or two of the four: cokernel_chart reads U^-1, induced_kernel's cokernel
+coordinates read U of R and U^-1 of M0, and the witnesses of
+induced_kernel_with_witnesses read V^-1 of the induced block.
 
 All arithmetic is arbitrary-precision integers and fractions.Fraction;
 no floating point is used anywhere in this module.
@@ -21,7 +24,9 @@ no floating point is used anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -185,14 +190,32 @@ class IntMatrix:
 class SmithDecomposition:
     """A = U * D * V with U, V unimodular and D = diag(d1, ..., dr, 0, ...)
     satisfying d1 | d2 | ... | dr, all positive.  U_inv and V_inv are the
-    exact inverses of U and V."""
+    exact inverses of U and V.
 
-    U: IntMatrix
+    Only D and rank are stored.  Each transform is built on first read by
+    replaying the recorded elimination, so a caller pays for the ones it
+    reads.  The record is private and takes no part in equality, hashing
+    or repr: two decompositions compare by D and rank."""
+
     D: IntMatrix
-    V: IntMatrix
-    U_inv: IntMatrix
-    V_inv: IntMatrix
     rank: int
+    _ops: list[tuple[int, int, int, int]] = field(repr=False, compare=False)
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        return _replay(self._ops, self.D.rows, rows=True, inverse=False)
+
+    @cached_property
+    def U_inv(self) -> IntMatrix:
+        return _replay(self._ops, self.D.rows, rows=True, inverse=True)
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        return _replay(self._ops, self.D.cols, rows=False, inverse=False)
+
+    @cached_property
+    def V_inv(self) -> IntMatrix:
+        return _replay(self._ops, self.D.cols, rows=False, inverse=True)
 
     def diagonal(self) -> tuple[int, ...]:
         n = min(self.D.rows, self.D.cols)
@@ -216,6 +239,32 @@ _COL_SWAP = 4  # swap columns i and j
 
 def _ignore(kind: int, i: int, j: int, q: int) -> None:
     pass
+
+
+def _replay(ops, n: int, rows: bool, inverse: bool) -> IntMatrix:
+    """One n x n transform of a Smith decomposition, replayed in order
+    onto the identity from the recorded row operations (rows=True: U,
+    U^-1) or column operations (rows=False: V, V^-1).
+
+    Each operation on A is compensated in the transforms, so that
+    A = U * D * V holds throughout.  U^-1 and V^-1 take each addition as
+    recorded (inverse=True), U and V its inverse.  U^-1 and V take row
+    operations; U and V^-1 take column operations, so their transposes
+    are built with row operations and transposed once at the end."""
+    add, swap = (_ROW_ADD, _ROW_SWAP) if rows else (_COL_ADD, _COL_SWAP)
+    m = _identity_lists(n)
+    for kind, i, j, q in ops:
+        if kind == add:
+            if not inverse:
+                i, j, q = j, i, -q
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+        elif kind == swap:
+            m[i], m[j] = m[j], m[i]
+        elif kind == _ROW_NEG and rows:
+            m[i] = [-x for x in m[i]]
+    if rows != inverse:
+        return IntMatrix(n, n, tuple(chain.from_iterable(zip(*m))))
+    return IntMatrix(n, n, tuple(chain.from_iterable(m)))
 
 
 def _diagonalize(d: list[list[int]], record=_ignore) -> int:
@@ -296,57 +345,22 @@ def _diagonalize(d: list[list[int]], record=_ignore) -> int:
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form A = U * D * V over Z.
 
-    Diagonalizes a copy of A with _diagonalize and mirrors every
-    elementary operation into U, V and their inverses, so that
-    A = U * D * V holds throughout.
+    Diagonalizes a copy of A with _diagonalize and records every
+    elementary operation; the transforms are replayed from that record
+    when first read (see SmithDecomposition).
 
     Works for any shape including empty matrices.  Intended for the small
     systems in this library (tens of rows); entries may be arbitrarily
     large since all arithmetic is exact.
     """
-    nr, nc = a.rows, a.cols
     d = a.to_rows()
-    u = _identity_lists(nr)
-    u_inv = _identity_lists(nr)
-    v = _identity_lists(nc)
-    v_inv = _identity_lists(nc)
+    ops: list[tuple[int, int, int, int]] = []
 
-    def mirror(kind: int, i: int, j: int, q: int) -> None:
-        if kind == _ROW_ADD:
-            # compensate U on the right by the inverse op
-            for m in range(nr):
-                u[m][j] -= q * u[m][i]
-            uii, uji = u_inv[i], u_inv[j]
-            for m in range(nr):
-                uii[m] += q * uji[m]
-        elif kind == _COL_ADD:
-            vi, vj = v[i], v[j]
-            for m in range(nc):
-                vj[m] -= q * vi[m]
-            for m in range(nc):
-                v_inv[m][i] += q * v_inv[m][j]
-        elif kind == _ROW_SWAP:
-            for m in range(nr):
-                u[m][i], u[m][j] = u[m][j], u[m][i]
-            u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
-        elif kind == _COL_SWAP:
-            v[i], v[j] = v[j], v[i]
-            for m in range(nc):
-                v_inv[m][i], v_inv[m][j] = v_inv[m][j], v_inv[m][i]
-        else:
-            for m in range(nr):
-                u[m][i] = -u[m][i]
-            u_inv[i] = [-e for e in u_inv[i]]
+    def record(kind: int, i: int, j: int, q: int) -> None:
+        ops.append((kind, i, j, q))
 
-    rank = _diagonalize(d, mirror)
-    return SmithDecomposition(
-        IntMatrix.from_rows(u, cols=nr),
-        IntMatrix.from_rows(d, cols=nc),
-        IntMatrix.from_rows(v, cols=nc),
-        IntMatrix.from_rows(u_inv, cols=nr),
-        IntMatrix.from_rows(v_inv, cols=nc),
-        rank,
-    )
+    rank = _diagonalize(d, record)
+    return SmithDecomposition(IntMatrix.from_rows(d, cols=a.cols), rank, ops)
 
 
 def _normalize_chain(orders: Iterable[int]) -> tuple[int, ...]:

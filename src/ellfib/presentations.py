@@ -36,15 +36,21 @@ from .exact_linalg import (
 from .weierstrass import KodairaType
 
 # Most central components, and most divisors over all branches, that a
-# presentation file may hold.  The cost of the kernel grows faster than
-# cubically on dense data: `sha-local` on a dense 64 x 64 presentation
-# with one-digit entries takes about 3 s, an 80 x 80 one about 16 s
-# (one core of a shared 2-core machine, Python 3.11).  The shipped
-# I2 + I0* has 6 central components and 7 divisors.
+# presentation file may hold, and the largest m, r or incidence entry it
+# may hold.  Central multiplicities need no bound of their own: the
+# bookkeeping identity ties them to the bounded entries.  The cost of the
+# kernel grows faster than cubically on dense data: `sha-local` on a
+# dense 64 x 64 one-branch presentation takes about 0.4 s with entries
+# 1-9 and 2.3 s with entries 1-99, and an 80 x 80 one with entries 1-9
+# takes 2.3 s (one core of a shared 2-core machine, Python 3.11).  The
+# shipped I2 + I0* has 6 central components, 7 divisors and entries of
+# at most 2.
 MAX_PRESENTATION_SIZE = 64
+MAX_PRESENTATION_ENTRY = 99
 
 __all__ = [
     "MAX_PRESENTATION_SIZE",
+    "MAX_PRESENTATION_ENTRY",
     "DivisorRecord",
     "BranchPresentation",
     "CollisionPresentation",
@@ -228,6 +234,15 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _json_entry(value, field: str) -> int:
+    value = _json_int(value, field)
+    if value > MAX_PRESENTATION_ENTRY:
+        raise PresentationInconsistent(
+            f"{field} must be at most {MAX_PRESENTATION_ENTRY} (MAX_PRESENTATION_ENTRY)"
+        )
+    return value
+
+
 def _json_str(value, field: str) -> str:
     if not isinstance(value, str):
         raise PresentationInconsistent(f"{field} must be a string, not {type(value).__name__}")
@@ -252,9 +267,9 @@ def presentation_from_dict(data: dict) -> tuple[tuple[str, str], CollisionPresen
         for br in branch_data:
             divisors = tuple(
                 DivisorRecord(
-                    _json_int(dv["m"], "m"),
-                    _json_int(dv["r"], "r"),
-                    tuple(_json_int(x, "incidence entry") for x in dv["incidence"]),
+                    _json_entry(dv["m"], "m"),
+                    _json_entry(dv["r"], "r"),
+                    tuple(_json_entry(x, "incidence entry") for x in dv["incidence"]),
                 )
                 for dv in br["divisors"]
             )

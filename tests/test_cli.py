@@ -11,7 +11,7 @@ from ellfib import collisions
 from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, build_arg_parser, main
 from ellfib.kodaira import MAX_LATTICE_COMPONENTS
 from ellfib.parser import MAX_EXPONENT, MAX_FIBRE_INDEX
-from ellfib.presentations import MAX_PRESENTATION_SIZE
+from ellfib.presentations import MAX_PRESENTATION_ENTRY, MAX_PRESENTATION_SIZE
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -544,3 +544,33 @@ def test_sha_local_refuses_presentation_over_size_bound(tmp_path, capsys):
                 f"components and {c} divisors; at most {MAX_PRESENTATION_SIZE} of "
                 f"each are loaded (MAX_PRESENTATION_SIZE) in {path}"
             )
+
+
+def test_sha_local_refuses_presentation_entries_over_bound(tmp_path, capsys):
+    # one divisor over one central component; at the bound m, r and the
+    # incidence entry all load, one more in any of them is refused
+    path = tmp_path / "entries.json"
+    top = MAX_PRESENTATION_ENTRY
+
+    def write(m, r, x):
+        path.write_text(json.dumps({
+            "pair": ["I2", "I0*"],
+            "central_multiplicities": [m * r * x],
+            "branches": [{"fibre_type": "I2", "divisors": [{"m": m, "r": r, "incidence": [x]}]}],
+        }), encoding="utf-8")
+
+    write(top, top, top)
+    rc, out = run("sha-local", str(path))
+    assert (rc, out.splitlines()[0]) == (EXIT_OK, "local sha: 0")
+    for field, entries in (
+        ("m", (top + 1, top, top)),
+        ("r", (top, top + 1, top)),
+        ("incidence entry", (top, top, top + 1)),
+    ):
+        write(*entries)
+        rc, out = run("sha-local", str(path))
+        assert (rc, out) == (EXIT_ENGINE, "")
+        assert _single_error_line(capsys) == (
+            f"error: PresentationInconsistent: {field} must be at most {top} "
+            f"(MAX_PRESENTATION_ENTRY) in {path}"
+        )

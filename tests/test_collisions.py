@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from ellfib import collisions
+from ellfib import collisions, weierstrass
 from ellfib.collisions import (
     ALLOWED,
     BLOWN_UP,
@@ -210,6 +210,29 @@ def test_reduce_exceptional_names_follow_paths():
     assert left.status == BLOWN_UP and left.exceptional.name == "E:L"
     assert right.status == BLOWN_UP and right.exceptional.name == "E:R"
     assert left.path == "L" and right.path == "R"
+
+
+def test_reduce_classifies_each_fibre_once(monkeypatch):
+    # 4 5 10 + 4 5 10 blows up 11 times: the two branches and each
+    # exceptional fibre are classified once, not again when the tree
+    # renames the exceptional germ after its path
+    calls = {"classify": 0, "blow_up": 0}
+    for name in calls:
+        def counting(*args, name=name, real=getattr(collisions, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(collisions, name, counting)
+    profile = ValuationProfile(4, 5, 10)
+    tree = miranda_reduce([CollisionPoint(BranchGerm("L", profile), BranchGerm("R", profile))])[0]
+    assert calls == {"classify": 13, "blow_up": 11}
+    # the renamed germs keep the type of their own profile
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.children is not None:
+            assert node.exceptional.fibre_type == weierstrass.classify(node.exceptional.profile)
+            stack.extend(node.children)
 
 
 def test_reduce_sweep_small_indices():

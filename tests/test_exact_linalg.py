@@ -16,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from ellfib import exact_linalg
+from ellfib import exact_linalg, kodaira
 from ellfib.errors import CommutationFailure, DimensionMismatch
 from ellfib.exact_linalg import (
     DivisibleGroup,
@@ -27,6 +27,9 @@ from ellfib.exact_linalg import (
     qz_kernel,
     smith_normal_form,
 )
+from ellfib.kodaira import reduced_pairing
+from ellfib.presentations import assemble, builtin_presentations
+from ellfib.weierstrass import KodairaType
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +235,25 @@ def _golden_snf_samples():
     return samples
 
 
-def test_snf_golden_fingerprint():
+def _golden_snf_digest(read_order) -> str:
     digest = hashlib.sha256()
     for m in _golden_snf_samples():
         dec = smith_normal_form(m)
-        mats = (dec.U, dec.D, dec.V, dec.U_inv, dec.V_inv)
+        read = {name: getattr(dec, name) for name in read_order}
+        mats = [read[name] for name in ("U", "D", "V", "U_inv", "V_inv")]
         doc = [[x.rows, x.cols, list(x.entries)] for x in mats] + [dec.rank]
         digest.update(json.dumps(doc, separators=(",", ":")).encode())
-    assert digest.hexdigest() == _GOLDEN_SNF_SHA256
+    return digest.hexdigest()
+
+
+def test_snf_golden_fingerprint():
+    assert _golden_snf_digest(("U", "D", "V", "U_inv", "V_inv")) == _GOLDEN_SNF_SHA256
+
+
+def test_snf_golden_fingerprint_read_in_reverse():
+    # each transform is built on its first read; the order of the reads
+    # must not change a single entry
+    assert _golden_snf_digest(("V_inv", "U_inv", "V", "D", "U")) == _GOLDEN_SNF_SHA256
 
 
 def test_snf_large_entries():
@@ -402,6 +416,52 @@ def test_induced_kernel_last_step_builds_no_transforms(monkeypatch):
         monkeypatch.setattr(exact_linalg, "smith_normal_form", only_cokernels)
         assert induced_kernel(r, n, m0, sigma) == expected
         assert len(calls) == 2
+
+
+def test_each_caller_builds_only_the_transforms_it_reads(monkeypatch):
+    # a transform is cached in the instance __dict__ when first read, so
+    # the names found there are exactly the transforms that were built
+    real = exact_linalg.smith_normal_form
+    decompositions = []
+
+    def recording(a):
+        dec = real(a)
+        decompositions.append((a, dec))
+        return dec
+
+    def built():
+        out = [
+            (a, {name for name in ("U", "V", "U_inv", "V_inv") if name in vars(dec)})
+            for a, dec in decompositions
+        ]
+        decompositions.clear()
+        return out
+
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", recording)
+    monkeypatch.setattr(kodaira, "smith_normal_form", recording)
+    r, n, m0, sigma = assemble(builtin_presentations()[("I2", "I0*")])
+    qz_kernel(n)
+    assert built() == []
+    cokernel_chart(r)
+    assert built() == [(r, {"U_inv"})]
+    induced_kernel(r, n, m0, sigma)
+    assert built() == [(r, {"U"}), (m0, {"U_inv"})]
+    _, witnesses = induced_kernel_with_witnesses(r, n, m0, sigma)
+    assert len(witnesses) == 1
+    (top, top_built), (bottom, bottom_built), (_, block_built) = built()
+    assert (top, bottom) == (r, m0)
+    assert [top_built, bottom_built, block_built] == [{"U"}, {"U_inv"}, {"V_inv"}]
+    reduced_pairing(KodairaType.parse("I0*"))
+    assert [names for _, names in built()] == [{"V_inv"}]
+
+
+def test_smith_decomposition_compares_by_diagonal_form():
+    # the recorded elimination stays out of equality, hashing and repr
+    m = IntMatrix.from_rows([[2, 4], [6, 8]])
+    a, b = smith_normal_form(m), smith_normal_form(m)
+    a.U
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == f"SmithDecomposition(D={a.D!r}, rank=2)"
 
 
 # ---------------------------------------------------------------------------
