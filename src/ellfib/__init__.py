@@ -24,7 +24,6 @@ from .exact_linalg import (
     IntMatrix,
     SmithDecomposition,
     cokernel_chart,
-    induced_kernel,
     induced_kernel_with_witnesses,
     qz_kernel,
     smith_normal_form,
@@ -44,7 +43,6 @@ from .presentations import (
     CollisionPresentation,
     DivisorRecord,
     PresentationStore,
-    local_sha,
     local_sha_with_witnesses,
 )
 from .report import analyze, render_json, render_text

@@ -110,10 +110,6 @@ class BranchGerm:
         object.__setattr__(germ, "name", name)
         return germ
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.profile.vdelta >= 1
-
 
 @dataclass(frozen=True)
 class CollisionPoint:
@@ -130,9 +126,6 @@ class CollisionPoint:
                     f"{side} branch {germ.name!r} has vdelta = 0 and is not "
                     "part of the discriminant"
                 )
-
-    def swapped(self) -> "CollisionPoint":
-        return CollisionPoint(self.right, self.left)
 
     def type_pair(self) -> tuple[KodairaType, KodairaType]:
         return (self.left.fibre_type, self.right.fibre_type)

@@ -7,6 +7,7 @@ ValidationError) when choosing an exit code.
 
 import json
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 
 class FibrationError(Exception):
@@ -73,33 +74,19 @@ class AllZero(FibrationError):
     """gcd of an all-zero (or empty) degree list is undefined."""
 
 
+@dataclass(frozen=True)
 class Diagnostic:
     """One message attached to an input file, positioned unless line is
     None."""
 
-    __slots__ = ("line", "column", "message")
-
-    def __init__(self, line: int, column: int, message: str):
-        self.line = line
-        self.column = column
-        self.message = message
+    line: int
+    column: int
+    message: str
 
     def __str__(self) -> str:
         if self.line is None:
             return self.message
         return f"line {self.line}, col {self.column}: {self.message}"
-
-    def __repr__(self) -> str:
-        return f"Diagnostic({self.line}, {self.column}, {self.message!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Diagnostic):
-            return NotImplemented
-        return (self.line, self.column, self.message) == (
-            other.line,
-            other.column,
-            other.message,
-        )
 
 
 class ParseError(FibrationError):

@@ -8,14 +8,13 @@ acts surjectively on Q/Z, so in Smith coordinates the image of the map is
 exactly "first rank(A) coordinates arbitrary" and the kernel is a sum of
 cyclic groups Z/d_i plus a divisible part.
 
-qz_kernel (and induced_kernel's last step, which calls it) needs D alone;
-it runs the loop on a copy of the matrix and records nothing.
-smith_normal_form runs the loop once and records its elementary
-operations; each of U, V and their inverses is built on first read by
-replaying that record onto an identity matrix.  Every caller reads one
-or two of the four: cokernel_chart reads U^-1, induced_kernel's cokernel
-coordinates read U of R and U^-1 of M0, and the witnesses of
-induced_kernel_with_witnesses read V^-1 of the induced block.
+qz_kernel needs D alone; it runs the loop on a copy of the matrix and
+records nothing.  smith_normal_form runs the loop once and records its
+elementary operations; each of U, V and their inverses is built on first
+read by replaying that record onto an identity matrix.  Every caller
+reads one or two of the four: cokernel_chart reads U^-1, and
+induced_kernel_with_witnesses reads U of R and U^-1 of M0 for the
+cokernel coordinates and V^-1 of the induced block for the witnesses.
 
 All arithmetic is arbitrary-precision integers and fractions.Fraction;
 no floating point is used anywhere in this module.
@@ -27,8 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CommutationFailure, DimensionMismatch
 
@@ -40,7 +38,6 @@ __all__ = [
     "smith_normal_form",
     "qz_kernel",
     "cokernel_chart",
-    "induced_kernel",
     "induced_kernel_with_witnesses",
 ]
 
@@ -153,32 +150,6 @@ class IntMatrix:
             sum((Fraction(self.at(i, j)) * vec[j] for j in range(self.cols)), Fraction(0))
             for i in range(self.rows)
         )
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -363,23 +334,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(IntMatrix.from_rows(d, cols=a.cols), rank, ops)
 
 
-def _normalize_chain(orders: Iterable[int]) -> tuple[int, ...]:
-    """Canonical invariant factors of a direct sum of cyclic groups Z/o."""
-    factors = [int(o) for o in orders if int(o) > 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                if b % a != 0:
-                    g = gcd(a, b)
-                    factors[i], factors[j] = g, a * b // g
-                    changed = True
-        factors = [f for f in factors if f > 1]
-    return tuple(sorted(factors))
-
-
 @dataclass(frozen=True)
 class DivisibleGroup:
     """An abelian group of the shape (Q/Z)^r + Z/d1 + ... + Z/dk in
@@ -411,28 +365,12 @@ class DivisibleGroup:
         n = abs(int(n))
         return cls(0, (n,) if n > 1 else ())
 
-    @classmethod
-    def from_torsion_orders(cls, orders: Iterable[int], divisible_rank: int = 0) -> "DivisibleGroup":
-        return cls(divisible_rank, _normalize_chain(orders))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.divisible_rank == 0 and not self.invariant_factors
-
-    @property
-    def is_finite(self) -> bool:
-        return self.divisible_rank == 0
-
     def order(self) -> int:
         """Order of the finite part (the whole group when finite)."""
         n = 1
         for d in self.invariant_factors:
             n *= d
         return n
-
-    def exponent(self) -> int:
-        """Exponent of the finite part (1 when there is none)."""
-        return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def render(self) -> str:
         parts = []
@@ -469,14 +407,9 @@ class CokernelChart:
     representative vector.
     """
 
-    source: IntMatrix
     basis_transform: IntMatrix
     rank: int
     ambient_dim: int
-
-    @property
-    def quotient_rank(self) -> int:
-        return self.ambient_dim - self.rank
 
     def quotient_coordinates(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Class of a rational vector in the quotient, as the last
@@ -492,16 +425,27 @@ class CokernelChart:
 
 def cokernel_chart(r: IntMatrix) -> CokernelChart:
     dec = smith_normal_form(r)
-    return CokernelChart(
-        source=r, basis_transform=dec.U_inv, rank=dec.rank, ambient_dim=r.rows
-    )
+    return CokernelChart(basis_transform=dec.U_inv, rank=dec.rank, ambient_dim=r.rows)
 
 
-def _induced_block(
+def induced_kernel_with_witnesses(
     r: IntMatrix, n: IntMatrix, m0: IntMatrix, sigma: IntMatrix
-) -> tuple[IntMatrix, SmithDecomposition]:
-    """Matrix of the map induced by N between the cokernels of R and M0,
-    in Smith quotient coordinates.  Returns (block, Smith form of R)."""
+) -> tuple[DivisibleGroup, list[tuple[Fraction, ...]]]:
+    """Kernel of the map coker(R (x) Q/Z) -> coker(M0 (x) Q/Z) induced by N,
+    plus one representative in (Q/Z)^C for each finite invariant factor.
+
+    The square
+        (Q/Z)^k  --R-->  (Q/Z)^C
+          |Sigma            |N
+        (Q/Z)^l  --M0--> (Q/Z)^c
+    must commute (N R = M0 Sigma); this guarantees N descends to the
+    cokernels.  In Smith coordinates of R and M0 the descended map is the
+    lower-right block of U_M0^-1 * N * U_R, and the kernel of that block
+    is read off its Smith form.
+
+    The i-th witness generates the Z/d_i summand; entries are reduced mod
+    1, so denominators divide d_i (hence the exponent of the group).
+    """
     if n.cols != r.rows:
         raise DimensionMismatch(
             f"N has {n.cols} columns but R has {r.rows} rows"
@@ -518,38 +462,7 @@ def _induced_block(
         raise CommutationFailure("N * R != M0 * Sigma: the square does not commute")
     top = smith_normal_form(r)
     bottom = smith_normal_form(m0)
-    w = bottom.U_inv @ n @ top.U
-    return w.submatrix(bottom.rank, top.rank), top
-
-
-def induced_kernel(
-    r: IntMatrix, n: IntMatrix, m0: IntMatrix, sigma: IntMatrix
-) -> DivisibleGroup:
-    """Kernel of the map coker(R (x) Q/Z) -> coker(M0 (x) Q/Z) induced by N.
-
-    The square
-        (Q/Z)^k  --R-->  (Q/Z)^C
-          |Sigma            |N
-        (Q/Z)^l  --M0--> (Q/Z)^c
-    must commute (N R = M0 Sigma); this guarantees N descends to the
-    cokernels.  In Smith coordinates of R and M0 the descended map is the
-    lower-right block of U_M0^-1 * N * U_R, and its kernel is computed by
-    qz_kernel.
-    """
-    block, _ = _induced_block(r, n, m0, sigma)
-    return qz_kernel(block)
-
-
-def induced_kernel_with_witnesses(
-    r: IntMatrix, n: IntMatrix, m0: IntMatrix, sigma: IntMatrix
-) -> tuple[DivisibleGroup, list[tuple[Fraction, ...]]]:
-    """Same as induced_kernel, plus one representative in (Q/Z)^C for each
-    finite invariant factor of the kernel.
-
-    The i-th witness generates the Z/d_i summand; entries are reduced mod
-    1, so denominators divide d_i (hence the exponent of the group).
-    """
-    block, top = _induced_block(r, n, m0, sigma)
+    block = (bottom.U_inv @ n @ top.U).submatrix(bottom.rank, top.rank)
     dec = smith_normal_form(block)
     group = DivisibleGroup(block.cols - dec.rank, dec.invariant_factors())
     witnesses: list[tuple[Fraction, ...]] = []

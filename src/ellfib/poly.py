@@ -48,14 +48,6 @@ def add(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def neg(p: Poly) -> Poly:
-    return {e: -c for e, c in p.items()}
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
 def scale(p: Poly, coeff) -> Poly:
     if coeff == 0:
         return {}
@@ -92,13 +84,6 @@ def axis_valuation(p: Poly, axis: str) -> int:
         raise ValueError(f"axis must be 's' or 't', got {axis!r}")
     idx = 0 if axis == "s" else 1
     return min(e[idx] for e in p)
-
-
-def origin_multiplicity(p: Poly) -> int:
-    """Smallest total degree of a monomial of p."""
-    if not p:
-        raise ZeroPolynomial("the zero polynomial has no multiplicity")
-    return min(es + et for es, et in p)
 
 
 def render(p: Poly) -> str:

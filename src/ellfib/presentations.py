@@ -25,14 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PresentationInconsistent, naming_input
-from .exact_linalg import (
-    CokernelChart,
-    DivisibleGroup,
-    IntMatrix,
-    cokernel_chart,
-    induced_kernel,
-    induced_kernel_with_witnesses,
-)
+from .exact_linalg import DivisibleGroup, IntMatrix, induced_kernel_with_witnesses
 from .weierstrass import KodairaType
 
 # Most central components, and most divisors over all branches, that a
@@ -56,9 +49,7 @@ __all__ = [
     "CollisionPresentation",
     "PresentationStore",
     "assemble",
-    "local_sha",
     "local_sha_with_witnesses",
-    "ambient_chart",
     "builtin_presentations",
     "presentation_from_dict",
     "load_presentation_file",
@@ -165,24 +156,13 @@ def assemble(p: CollisionPresentation) -> tuple[IntMatrix, IntMatrix, IntMatrix,
     return r, n, m0, sigma
 
 
-def local_sha(p: CollisionPresentation) -> DivisibleGroup:
-    """Local Tate-Shafarevich group of the resolved collision."""
-    return induced_kernel(*assemble(p))
-
-
 def local_sha_with_witnesses(
     p: CollisionPresentation,
 ) -> tuple[DivisibleGroup, list[tuple[Fraction, ...]]]:
-    """Group plus one generator representative per finite invariant
-    factor, expressed in the divisor coordinates of (Q/Z)^divisors."""
+    """Local Tate-Shafarevich group of the resolved collision, plus one
+    generator representative per finite invariant factor, expressed in the
+    divisor coordinates of (Q/Z)^divisors."""
     return induced_kernel_with_witnesses(*assemble(p))
-
-
-def ambient_chart(p: CollisionPresentation) -> CokernelChart:
-    """Chart for the cokernel the witnesses live in; lets callers test
-    whether two representatives define the same class."""
-    r, _, _, _ = assemble(p)
-    return cokernel_chart(r)
 
 
 def _e(c: int, *idx: int) -> tuple[int, ...]:

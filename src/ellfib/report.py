@@ -36,7 +36,6 @@ from .presentations import (
 from .weierstrass import (
     ValuationProfile,
     axis_profile,
-    classify,
     j_valuation,
     minimalize,
     render_valuation,
@@ -92,7 +91,8 @@ def _tree_json(node: BlowupNode) -> dict:
 
 def _branch_json(name: str, profile: ValuationProfile) -> tuple[dict, BranchGerm]:
     minimal, twists = minimalize(profile)
-    ft = classify(minimal)
+    germ = BranchGerm(name, minimal)
+    ft = germ.fibre_type
     entry = {
         "name": name,
         "input_profile": _profile_json(profile),
@@ -105,7 +105,7 @@ def _branch_json(name: str, profile: ValuationProfile) -> tuple[dict, BranchGerm
         "discriminant_group": kodaira.discriminant_group(ft).render(),
         "sha_punctured": kodaira.sha_punctured_transverse(ft).render(),
     }
-    return entry, BranchGerm(name, minimal)
+    return entry, germ
 
 
 def _presentation_for_leaf(

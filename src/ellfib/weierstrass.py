@@ -78,10 +78,6 @@ class KodairaType:
     def is_multiplicative(self) -> bool:
         return self.kind == "I" and self.index >= 1
 
-    @property
-    def is_additive(self) -> bool:
-        return self.kind != "I"
-
     def __str__(self) -> str:
         if self.kind == "I":
             return f"I{self.index}"

@@ -56,8 +56,6 @@ def _point(left: str, right: str) -> CollisionPoint:
 def test_branch_germ_classifies_its_profile():
     germ = BranchGerm("C", ValuationProfile(0, 0, 7))
     assert str(germ.fibre_type) == "I7"
-    assert germ.is_degenerate
-    assert not BranchGerm("S", ValuationProfile(0, 0, 0)).is_degenerate
 
 
 def test_collision_point_needs_degenerate_branches():
@@ -65,8 +63,6 @@ def test_collision_point_needs_degenerate_branches():
         _point("I0", "I1")
     with pytest.raises(InvalidCollision):
         _point("I3", "I0")
-    point = _point("I1", "I2")
-    assert point.swapped().type_pair() == tuple(reversed(point.type_pair()))
 
 
 # ---------------------------------------------------------------------------

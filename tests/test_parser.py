@@ -31,7 +31,7 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 def test_parse_polynomial_forms():
     s = poly.monomial(1, 1, 0)
     assert parse_polynomial("s") == s
-    assert parse_polynomial("-s + 1") == poly.add(poly.neg(s), poly.const(1))
+    assert parse_polynomial("-s + 1") == poly.add(poly.scale(s, -1), poly.const(1))
     assert parse_polynomial("2*s^3*t") == poly.monomial(2, 3, 1)
     assert parse_polynomial("1/2*t^2") == poly.monomial(Fraction(1, 2), 0, 2)
     assert parse_polynomial("s*s*s") == poly.monomial(1, 3, 0)

@@ -7,17 +7,15 @@ from fractions import Fraction
 import pytest
 
 from ellfib.errors import PresentationInconsistent
-from ellfib.exact_linalg import DivisibleGroup
+from ellfib.exact_linalg import DivisibleGroup, cokernel_chart
 from ellfib.presentations import (
     BranchPresentation,
     CollisionPresentation,
     DivisorRecord,
     PresentationStore,
-    ambient_chart,
     assemble,
     builtin_presentations,
     load_presentation_file,
-    local_sha,
     local_sha_with_witnesses,
     presentation_from_dict,
 )
@@ -102,11 +100,11 @@ def test_assemble_shapes_and_commutation():
 
 def test_builtin_collision_group_and_witness():
     pres = _i2_i0star()
-    assert local_sha(pres) == DivisibleGroup.cyclic(2)
+    assert local_sha_with_witnesses(pres)[0] == DivisibleGroup.cyclic(2)
     group, witnesses = local_sha_with_witnesses(pres)
     assert group == DivisibleGroup.cyclic(2)
     assert len(witnesses) == 1
-    chart = ambient_chart(pres)
+    chart = cokernel_chart(assemble(pres)[0])
     zero = (Fraction(0),) * 7
     assert chart.same_class(witnesses[0], REFERENCE_WITNESS)
     assert not chart.same_class(witnesses[0], zero)
@@ -120,7 +118,7 @@ def test_group_invariant_under_branch_and_divisor_order():
     swapped_branches = CollisionPresentation(
         pres.central_multiplicities, tuple(reversed(pres.branches))
     )
-    assert local_sha(swapped_branches) == DivisibleGroup.cyclic(2)
+    assert local_sha_with_witnesses(swapped_branches)[0] == DivisibleGroup.cyclic(2)
     b0, b1 = pres.branches
     permuted = CollisionPresentation(
         pres.central_multiplicities,
@@ -129,7 +127,7 @@ def test_group_invariant_under_branch_and_divisor_order():
             BranchPresentation(b1.fibre_type, tuple(reversed(b1.divisors))),
         ),
     )
-    assert local_sha(permuted) == DivisibleGroup.cyclic(2)
+    assert local_sha_with_witnesses(permuted)[0] == DivisibleGroup.cyclic(2)
 
 
 def test_single_branch_presentation():
@@ -139,7 +137,7 @@ def test_single_branch_presentation():
         (1, 1),
         (BranchPresentation("I2", (DivisorRecord(1, 1, (1, 0)), DivisorRecord(1, 1, (0, 1)))),),
     )
-    group = local_sha(pres)
+    group = local_sha_with_witnesses(pres)[0]
     assert group.divisible_rank == 0 and group.order() == 1
 
 
@@ -210,7 +208,7 @@ def test_load_presentation_file(tmp_path):
     path.write_text(json.dumps(_builtin_as_dict()), encoding="utf-8")
     pair, pres = load_presentation_file(path)
     assert pair == ("I2", "I0*")
-    assert local_sha(pres) == DivisibleGroup.cyclic(2)
+    assert local_sha_with_witnesses(pres)[0] == DivisibleGroup.cyclic(2)
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]", encoding="utf-8")
     with pytest.raises(PresentationInconsistent):

@@ -3,6 +3,7 @@ returns, and the two renderers that read that document."""
 
 import json
 import pathlib
+import sys
 
 from ellfib import kodaira, weierstrass
 from ellfib.parser import parse_description
@@ -62,6 +63,30 @@ def test_branch_reports_for_transverse_collision():
     assert d0["discriminant_group"] == "Z/2 + Z/2"
     assert d0["sha_punctured"] == "Z/2 + Z/2"
     assert d0["j_valuation"] == 0
+
+
+def test_report_classifies_each_fibre_once(monkeypatch):
+    # one classify per declared branch, whose entry reads the type off its
+    # germ, and one per exceptional fibre of a blow-up tree
+    real = weierstrass.classify
+    calls = []
+
+    def counting(profile):
+        calls.append(profile)
+        return real(profile)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("ellfib") and getattr(module, "classify", None) is real:
+            monkeypatch.setattr(module, "classify", counting)
+    doc = _analyze_file("single_i7.fib")
+    assert doc["errors"] == [] and len(calls) == 1
+    for name in sorted(p.name for p in CORPUS.glob("*.fib")):
+        calls.clear()
+        doc = _analyze_file(name)
+        exceptional = sum(
+            "exceptional" in node for tree in doc["blowup_trees"] if tree for node in _nodes(tree)
+        )
+        assert len(calls) == len(doc["branches"]) + exceptional, name
 
 
 EVERY_KIND = (

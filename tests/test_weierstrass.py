@@ -54,10 +54,7 @@ def test_kodaira_type_parse_and_str():
 def test_kodaira_type_predicates():
     assert KodairaType("I", 0).is_smooth
     assert not KodairaType("I", 0).is_multiplicative
-    assert not KodairaType("I", 0).is_additive
     assert KodairaType("I", 4).is_multiplicative
-    assert KodairaType("I*", 0).is_additive
-    assert KodairaType("II").is_additive
 
 
 # ---------------------------------------------------------------------------
