@@ -53,7 +53,6 @@ from .weierstrass import (
     WeierstrassPolyModel,
     axis_profile,
     classify,
-    discriminant,
     j_valuation,
     minimalize,
 )

@@ -17,7 +17,8 @@ Shared sections:
 Valuations accept nonnegative integers up to MAX_FIBRE_INDEX or "inf".
 Polynomials use infix syntax over s and t with integer or ratio
 coefficients, explicit '*' between factors and '^' for powers; the
-exponent of each variable in a term is at most MAX_EXPONENT.
+exponent of each variable in a term is at most MAX_EXPONENT, and a
+polynomial has at most MAX_TERMS terms.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "AXIS_BRANCH_NAMES",
     "MAX_FIBRE_INDEX",
     "MAX_EXPONENT",
+    "MAX_TERMS",
 ]
 
 AXIS_BRANCH_NAMES = ("s-axis", "t-axis")
@@ -55,6 +57,18 @@ MAX_FIBRE_INDEX = 100_000
 # then has exponents of at most 3 * MAX_EXPONENT, so an axis fibre's
 # index stays within MAX_FIBRE_INDEX.
 MAX_EXPONENT = MAX_FIBRE_INDEX // 3
+
+# Largest number of terms written in one polynomial.  The model never
+# expands Delta (weierstrass.discriminant_vanishes, discriminant_valuation),
+# but where 4 a^3 and 27 b^2 cancel to a high power of an axis it builds
+# the slices of a^2, a^3 and b^2 below that power, which can grow with
+# the cube of the terms there.  The slowest shape a seeded search found,
+# a = -3 c^2 and b = 2 c^3 below a high power of s with c of 17 terms
+# (153 and 968 terms), parses and analyzes in about 1 s; the 150-term
+# models of the 0.1 s target take under 0.01 s, and a model whose
+# leading terms do not cancel costs time linear in its terms (one core
+# of a shared 2-core machine, Python 3.11).
+MAX_TERMS = 1000
 
 
 @dataclass(frozen=True)
@@ -152,8 +166,24 @@ def parse_polynomial(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly
             return (1, exp, 0) if tok == "s" else (1, 0, exp)
         fail(f"unexpected token {tok!r} in polynomial")
 
-    def parse_term() -> poly.Poly:
+    # the terms are summed into one dict in place, dropping any that
+    # cancel, so the result is canonical and parsing stays linear
+    result: poly.Poly = {}
+    terms = 0
+    sign = 1
+    if peek() == "-":
+        take()
+        sign = -1
+    elif peek() == "+":
+        take()
+    while True:
         start = idx
+        terms += 1
+        if terms > MAX_TERMS:
+            raise ParseError([Diagnostic(
+                line, tokens[start][1],
+                f"polynomial has more than {MAX_TERMS} terms (MAX_TERMS)",
+            )])
         coeff, es, et = parse_factor()
         while peek() == "*":
             take()
@@ -166,18 +196,11 @@ def parse_polynomial(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly
                 line, tokens[start][1],
                 f"exponent exceeds the limit of {MAX_EXPONENT} (MAX_EXPONENT)",
             )])
-        return poly.monomial(coeff, es, et)
-
-    result = poly.zero()
-    sign = 1
-    if peek() == "-":
-        take()
-        sign = -1
-    elif peek() == "+":
-        take()
-    while True:
-        term = parse_term()
-        result = poly.add(result, poly.scale(term, sign))
+        total = result.get((es, et), 0) + sign * coeff
+        if total:
+            result[(es, et)] = total
+        else:
+            result.pop((es, et), None)
         tok = peek()
         if tok is None:
             break
@@ -206,7 +229,8 @@ def _parse_valuation(text: str):
 
 def _integral(a: poly.Poly, b: poly.Poly) -> WeierstrassPolyModel:
     """(lam^4 a, lam^6 b) with lam the lcm of all denominators: an isomorphic
-    model with int coefficients, the same valuations and Delta * lam^12."""
+    model with int coefficients, the same valuations and Delta * lam^12,
+    so the model's leading-term reads of Delta run on ints."""
     lam = math.lcm(*(c.denominator for c in (*a.values(), *b.values())))
     return WeierstrassPolyModel(
         {e: c.numerator * (lam**4 // c.denominator) for e, c in a.items()},

@@ -8,6 +8,7 @@ coefficients stored) makes equality plain dict equality.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from numbers import Rational
 from typing import Dict, Tuple
 
@@ -54,8 +55,11 @@ def scale(p: Poly, coeff) -> Poly:
     return {e: c * coeff for e, c in p.items()}
 
 
-def mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
+def mul(p: Poly, q: Poly, out: Poly | None = None) -> Poly:
+    """p * q; when out is given, the product is added into it in place
+    and out is returned."""
+    if out is None:
+        out = {}
     for (a1, a2), c in p.items():
         for (b1, b2), d in q.items():
             e = (a1 + b1, a2 + b2)
@@ -67,12 +71,25 @@ def mul(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def power(p: Poly, n: int) -> Poly:
-    if n < 0:
-        raise ValueError("negative power")
-    out = const(1) if n == 0 else p
-    for _ in range(n - 1):
-        out = mul(out, p)
+def divide(p: Poly, q: Poly) -> Poly | None:
+    """The polynomial r with p = r * q, or None when q does not divide p.
+
+    Long division in the lexicographic order with s first (plain tuple
+    order on exponents): if q divides p, the leading monomial of every
+    remainder is a multiple of that of q.  q must be nonzero.
+    """
+    lead, lc = max(q.items())
+    rem = dict(p)
+    out: Poly = {}
+    while rem:
+        e = max(rem)
+        qs, qt = e[0] - lead[0], e[1] - lead[1]
+        if qs < 0 or qt < 0:
+            return None
+        r = Fraction(rem[e]) / lc
+        r = r.numerator if r.denominator == 1 else r
+        out[(qs, qt)] = r
+        mul(monomial(-r, qs, qt), q, rem)
     return out
 
 

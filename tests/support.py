@@ -1,7 +1,9 @@
 """Shared helpers for the test suite: canonical valuation profiles per
-fibre type and small enumerations used by several test modules."""
+fibre type, small enumerations used by several test modules, and the
+polynomial oracles (powers and the fully expanded discriminant) that the
+library's leading-term reads are checked against."""
 
-from ellfib import KodairaType, ValuationProfile
+from ellfib import KodairaType, ValuationProfile, poly
 
 # One minimal profile classifying to each type; for the I and I* series
 # the profile depends on the index.
@@ -48,3 +50,19 @@ def summed_profile_is_consistent(p: ValuationProfile, q: ValuationProfile) -> bo
     if 3 * va != 2 * vb and vd != floor:
         return False
     return True
+
+
+def power(p: poly.Poly, n: int) -> poly.Poly:
+    """p^n by repeated multiplication."""
+    if n < 0:
+        raise ValueError("negative power")
+    out = poly.const(1) if n == 0 else p
+    for _ in range(n - 1):
+        out = poly.mul(out, p)
+    return out
+
+
+def discriminant(a: poly.Poly, b: poly.Poly) -> poly.Poly:
+    """Delta = 4 a^3 + 27 b^2, expanded term by term (zero when it
+    vanishes identically)."""
+    return poly.add(poly.scale(power(a, 3), 4), poly.scale(power(b, 2), 27))

@@ -10,7 +10,7 @@ import pytest
 from ellfib import collisions
 from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, build_arg_parser, main
 from ellfib.kodaira import MAX_LATTICE_COMPONENTS
-from ellfib.parser import MAX_EXPONENT, MAX_FIBRE_INDEX
+from ellfib.parser import MAX_EXPONENT, MAX_FIBRE_INDEX, MAX_TERMS
 from ellfib.presentations import MAX_PRESENTATION_ENTRY, MAX_PRESENTATION_SIZE
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -309,12 +309,20 @@ def test_report_degenerate_model_is_one_error_line(tmp_path, capsys):
     # a = -3 s^2, b = 2 s^3 gives 4 a^3 + 27 b^2 = 0, so no model exists
     # and the file is rejected before any analysis
     bad = tmp_path / "degenerate.fib"
-    bad.write_text("[weierstrass] a = -3*s^2 b = 2*s^3\n", encoding="utf-8")
-    rc, out = run("report", str(bad), "--format", "json")
-    assert (rc, out) == (EXIT_INPUT, "")
-    assert _single_error_line(capsys) == (
-        f"error: line 1, col 1: discriminant 4 a^3 + 27 b^2 vanishes identically in {bad}"
-    )
+    # the second has c = 1 - 2 s t^5 + 3 s^4: its leading terms cancel and
+    # the zero test divides b by a
+    for text in (
+        "[weierstrass] a = -3*s^2 b = 2*s^3\n",
+        "[weierstrass] a = -27*s^8 + 36*s^5*t^5 - 12*s^2*t^10 - 18*s^4 + 12*s*t^5 - 3 "
+        "b = 54*s^12 - 108*s^9*t^5 + 72*s^6*t^10 - 16*s^3*t^15 + 54*s^8 - 72*s^5*t^5 "
+        "+ 24*s^2*t^10 + 18*s^4 - 12*s*t^5 + 2\n",
+    ):
+        bad.write_text(text, encoding="utf-8")
+        rc, out = run("report", str(bad), "--format", "json")
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert _single_error_line(capsys) == (
+            f"error: line 1, col 1: discriminant 4 a^3 + 27 b^2 vanishes identically in {bad}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +400,10 @@ def test_report_refuses_huge_fibre_index_and_exponent(tmp_path, capsys):
         (
             "[weierstrass] a = s^" + "9" * 4300 + " b = 1\n",
             f"line 1, col 19: exponent exceeds the limit of {MAX_EXPONENT} (MAX_EXPONENT)",
+        ),
+        (
+            "[weierstrass] a = s b = " + "t + " * MAX_TERMS + "1\n",
+            f"line 1, col {25 + 4 * MAX_TERMS}: polynomial has more than {MAX_TERMS} terms (MAX_TERMS)",
         ),
     ):
         bad.write_text(text, encoding="utf-8")

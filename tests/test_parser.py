@@ -13,6 +13,7 @@ from ellfib.parser import (
     AXIS_BRANCH_NAMES,
     MAX_EXPONENT,
     MAX_FIBRE_INDEX,
+    MAX_TERMS,
     BranchDecl,
     CollisionDecl,
     parse_description,
@@ -20,6 +21,8 @@ from ellfib.parser import (
     render_description,
 )
 from ellfib.weierstrass import INFINITY, WeierstrassPolyModel, axis_profile
+
+from support import discriminant, power
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -177,6 +180,21 @@ def test_polynomial_exponents_are_bounded():
         assert diag.message == f"exponent exceeds the limit of {MAX_EXPONENT} (MAX_EXPONENT)"
 
 
+def test_polynomial_terms_are_bounded():
+    # MAX_TERMS counts written terms, cancelling ones too; the diagnostic
+    # points at the first term beyond the bound
+    at_bound = " + ".join(f"t^{k}" for k in range(MAX_TERMS))
+    assert len(parse_polynomial(at_bound)) == MAX_TERMS
+    cancelling = " + ".join(["s - s"] * (MAX_TERMS // 2))
+    assert parse_polynomial(cancelling) == {}
+    for text in (at_bound + " - 7", cancelling + " + t"):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, line=2, col_offset=10)
+        (diag,) = info.value.diagnostics
+        assert (diag.line, diag.column) == (2, 10 + len(text))
+        assert diag.message == f"polynomial has more than {MAX_TERMS} terms (MAX_TERMS)"
+
+
 def test_multiple_syntax_errors_are_collected():
     with pytest.raises(ParseError) as info:
         parse_description(
@@ -287,15 +305,16 @@ def test_denominator_clearing_oracle():
         r = poly.mul(poly.monomial(Fraction(1, rng.choice((1, 5, 8))), 1, 1), _ratio_poly(rng, 2))
         if i % 2:
             a = poly.scale(poly.mul(w, w), -3)
-            b = poly.add(poly.scale(poly.power(w, 3), 2), r)
+            b = poly.add(poly.scale(power(w, 3), 2), r)
         else:
             a, b = w, r
         text = f"[weierstrass] a = {poly.render(a)} b = {poly.render(b)}\n"
         oracle = WeierstrassPolyModel(a, b)
         model = parse_description(text).model
         assert {type(c) for p in (model.a, model.b) for c in p.values()} <= {int}
-        assert model.delta.keys() == oracle.delta.keys()
-        assert len({Fraction(model.delta[e], oracle.delta[e]) for e in model.delta}) == 1
+        delta, oracle_delta = discriminant(model.a, model.b), discriminant(a, b)
+        assert delta.keys() == oracle_delta.keys()
+        assert len({Fraction(delta[e], oracle_delta[e]) for e in delta}) == 1
         for axis in ("s", "t"):
             profile = axis_profile(model, axis)
             assert profile == axis_profile(oracle, axis), (text, axis)

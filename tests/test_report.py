@@ -1,11 +1,12 @@
 """Tests for the whole-fibration analysis pipeline, the report document it
 returns, and the two renderers that read that document."""
 
+import dataclasses
 import json
 import pathlib
 import sys
 
-from ellfib import kodaira, weierstrass
+from ellfib import kodaira, poly, weierstrass
 from ellfib.parser import parse_description
 from ellfib.report import (
     ALL_IRREDUCIBLE_NOTE,
@@ -14,6 +15,8 @@ from ellfib.report import (
     render_json,
     render_text,
 )
+
+from support import discriminant
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -181,19 +184,31 @@ def test_rational_model_with_cancelling_discriminant():
     ]
 
 
-def test_polynomial_report_builds_one_discriminant(monkeypatch):
-    built = []
-    real = weierstrass.discriminant
-
-    def counting(model):
-        built.append(model)
-        return real(model)
-
-    monkeypatch.setattr(weierstrass, "discriminant", counting)
-    doc = _analyze_file("axes_collision.fib")
-    render_json(doc)
-    render_text(doc)
-    assert len(built) == 1
+def test_polynomial_report_builds_no_discriminant(monkeypatch):
+    # No polynomial the poly module returns while a polynomial-mode file
+    # is parsed, analyzed and rendered is its discriminant; where the
+    # leading terms decide everything, no product or quotient is taken.
+    assert "delta" not in {f.name for f in dataclasses.fields(weierstrass.WeierstrassPolyModel)}
+    returned = []
+    for name in ("add", "scale", "mul", "divide"):
+        def recording(*args, _real=getattr(poly, name), _name=name):
+            result = _real(*args)
+            returned.append((_name, result))
+            return result
+        monkeypatch.setattr(poly, name, recording)
+    for path in sorted(CORPUS.glob("*.fib")):
+        returned.clear()
+        doc = _analyze_file(path.name)
+        render_json(doc)
+        render_text(doc)
+        seen = list(returned)
+        if doc["mode"] != "weierstrass":
+            continue
+        model = parse_description(path.read_text(encoding="utf-8")).model
+        delta = discriminant(model.a, model.b)
+        assert all(p != delta for _, p in seen), path.name
+        if path.name == "axes_collision.fib":
+            assert not [n for n, _ in seen if n in ("mul", "divide")]
 
 
 def test_weierstrass_axes_collision_dissolves():

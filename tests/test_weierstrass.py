@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellfib import poly
+from ellfib import poly, weierstrass
 from ellfib.errors import (
     DegenerateModel,
     InvalidProfile,
@@ -25,12 +25,11 @@ from ellfib.weierstrass import (
     WeierstrassPolyModel,
     axis_profile,
     classify,
-    discriminant,
     j_valuation,
     minimalize,
 )
 
-from support import canonical_profile, types_with_index_up_to
+from support import canonical_profile, discriminant, types_with_index_up_to
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def test_monomial_discriminant_valuation_rule():
         c1 = rng.choice([x for x in range(-5, 6) if x])
         c2 = rng.choice([x for x in range(-5, 6) if x])
         model = _monomial_model(c1, p1, q1, c2, p2, q2)
-        delta = discriminant(model)
+        delta = discriminant(model.a, model.b)
         assert poly.axis_valuation(delta, "s") == min(3 * p1, 2 * p2)
         assert poly.axis_valuation(delta, "t") == min(3 * q1, 2 * q2)
         for axis, va, vb in (("s", p1, p2), ("t", q1, q2)):
@@ -298,3 +297,91 @@ def test_monomial_discriminant_valuation_rule():
             assert profile.as_tuple() == (va, vb, min(3 * va, 2 * vb))
             assert j_valuation(profile) == 3 * profile.va - profile.vdelta
         done += 1
+
+
+def _random_poly(rng, terms, box, ratios):
+    p = {}
+    for _ in range(terms):
+        c = rng.choice([x for x in range(-6, 7) if x])
+        if ratios and rng.random() < 0.4:
+            c = Fraction(c, rng.choice((2, 3, 5, 7)))
+        p = poly.add(p, poly.monomial(c, rng.randrange(box), rng.randrange(box)))
+    return p
+
+
+def _oracle_case(rng, i):
+    """(a, b), with int coefficients on even cases and Fraction ones on
+    odd cases.  Half have cancelling leading terms (a = -3 w^2,
+    b = 2 w^3 + r); the rest in turn have 3 LM(a) = 2 LM(b) with
+    4 LC(a)^3 + 27 LC(b)^2 != 0, are degenerate (a = -3 c^2, b = 2 c^3),
+    have a or b (or both) zero, or are unrelated."""
+    ratios = i % 2 == 1
+    w = _random_poly(rng, rng.randint(1, 4), 4, ratios)
+    r = poly.mul(poly.monomial(1, rng.randint(0, 3), rng.randint(0, 3)),
+                 _random_poly(rng, rng.randint(1, 3), 3, ratios))
+    w2 = poly.mul(w, w)
+    w3 = poly.mul(w2, w)
+    kind = i % 8
+    if kind < 4:
+        return poly.scale(w2, -3), poly.add(poly.scale(w3, 2), r)
+    if kind == 4:
+        lam = rng.choice([x for x in range(-4, 5) if x not in (0, -3)])
+        return poly.scale(w2, lam), poly.add(poly.scale(w3, rng.choice((1, 2, -2))), r)
+    if kind == 5:
+        return poly.scale(w2, -3), poly.scale(w3, 2)
+    if kind == 6:
+        return rng.choice(((w, {}), ({}, r), ({}, {})))
+    return _random_poly(rng, rng.randint(1, 5), 5, ratios), _random_poly(rng, rng.randint(1, 5), 5, ratios)
+
+
+@pytest.mark.parametrize("certificate", [True, False], ids=["mod_p", "division_only"])
+def test_leading_term_reads_match_full_discriminant(certificate, monkeypatch):
+    # discriminant_vanishes, discriminant_valuation and the model read Delta
+    # from leading terms and low slices only; the oracle expands all of it.
+    # Without the modular certificate every cancelling case goes to division.
+    if not certificate:
+        monkeypatch.setattr(weierstrass, "_value_mod_p", lambda a, b: 0)
+    rng = random.Random(20261018)
+    seen = {"cancelled": 0, "degenerate": 0, "lm_tie": 0}
+    for i in range(320):
+        a, b = _oracle_case(rng, i)
+        delta = discriminant(a, b)
+        assert weierstrass.discriminant_vanishes(a, b) == (not delta), (a, b)
+        if not delta:
+            seen["degenerate"] += 1
+            with pytest.raises(DegenerateModel):
+                WeierstrassPolyModel(a, b)
+            continue
+        if a and b and (3 * max(a)[0], 3 * max(a)[1]) == (2 * max(b)[0], 2 * max(b)[1]):
+            seen["lm_tie"] += 1
+        model = WeierstrassPolyModel(a, b)
+        for axis in ("s", "t"):
+            vdelta = poly.axis_valuation(delta, axis)
+            assert weierstrass.discriminant_valuation(a, b, axis) == vdelta, (a, b, axis)
+            profile = axis_profile(model, axis)
+            assert profile.vdelta == vdelta
+            seen["cancelled"] += vdelta > min(3 * profile.va, 2 * profile.vb)
+    assert seen["cancelled"] >= 120 and seen["degenerate"] >= 40 and seen["lm_tie"] >= 140, seen
+
+
+def test_cancelling_models_are_proved_nonzero_without_division(monkeypatch):
+    # The modulus and point of the nonzero proof are drawn at random, so
+    # neither a model that vanishes modulo a fixed prime nor one whose
+    # long division would take a step per exponent reaches division.
+    def no_division(p, q):
+        raise AssertionError("divided")
+
+    monkeypatch.setattr(poly, "divide", no_division)
+    fixed = 2**61 - 1
+    c = {(0, 0): 1, (1, 2): 3, (3, 1): -2}
+    c2 = poly.mul(c, c)
+    k = 11111
+    for a, b in (
+        (poly.add(poly.scale(c2, -3), poly.monomial(fixed, 1, 1)),
+         poly.add(poly.scale(poly.mul(c2, c), 2), poly.monomial(fixed**2, 0, 2))),
+        ({(0, 2 * k): -3, (0, 7): 5, (0, 0): -3}, {(0, 3 * k): 2, (0, 11): -1, (0, 0): 2}),
+    ):
+        assert 4 * max(a.items())[1] ** 3 + 27 * max(b.items())[1] ** 2 == 0
+        assert discriminant(a, b)
+        assert not weierstrass.discriminant_vanishes(a, b)
+
