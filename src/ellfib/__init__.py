@@ -37,7 +37,7 @@ from .kodaira import (
     lattice_data,
     sha_punctured_transverse,
 )
-from .parser import FibrationDescription, parse_description, render_description
+from .parser import FibrationDescription, parse_description
 from .presentations import (
     BranchPresentation,
     CollisionPresentation,

@@ -41,25 +41,27 @@ EXIT_INPUT = 1
 EXIT_ENGINE = 2
 
 
-def _valuation(text: str):
-    if text.lower() in ("inf", "infinity"):
-        return INFINITY
-    # as for [topology] values: the sum of two valuations, which a
-    # blow-up prints, stays short enough for str() (0: no limit)
+def _nonnegative(text: str, what: str = "value", expected: str = "a nonnegative integer") -> int:
+    # as for [topology] values: the sum of two, which a blow-up or a
+    # corank prints, stays short enough for str() (0: no limit)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and len(text) >= limit:
         raise argparse.ArgumentTypeError(
-            f"valuation of {len(text)} characters exceeds the limit of {limit - 1} digits"
+            f"{what} of {len(text)} characters exceeds the limit of {limit - 1} digits"
         )
     try:
         v = int(text)
+        if v >= 0:
+            return v
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer or 'inf', got {text!r}"
-        )
-    if v < 0:
-        raise argparse.ArgumentTypeError("valuations are nonnegative")
-    return v
+        pass
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+
+def _valuation(text: str):
+    if text.lower() in ("inf", "infinity"):
+        return INFINITY
+    return _nonnegative(text, "valuation", "a nonnegative integer or 'inf'")
 
 
 def _fibre_type(text: str) -> KodairaType:
@@ -117,14 +119,14 @@ def _germs(args) -> CollisionPoint:
 
 def _cmd_blowup(args, out) -> int:
     point = _germs(args)
-    step = blow_up(point)
-    print(f"exceptional: {step.exceptional.fibre_type}", file=out)
-    _print_profile(step.exceptional.profile, out)
-    print(f"twists absorbed: {step.twist_count}", file=out)
-    if step.dissolved:
+    minimal, twists = blow_up(point)
+    rt = classify(minimal)
+    print(f"exceptional: {rt}", file=out)
+    _print_profile(minimal, out)
+    print(f"twists absorbed: {twists}", file=out)
+    if minimal.vdelta == 0:
         print("children: dissolved (exceptional fibre is not in the discriminant)", file=out)
     else:
-        rt = step.exceptional.fibre_type
         for label, germ in (("left", point.left), ("right", point.right)):
             lt = germ.fibre_type
             status = "allowed" if is_miranda_allowed(lt, rt) else "needs further blow-ups"
@@ -246,7 +248,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corank", help="corank from Betti/Picard numbers")
     for arg in ("b2_X", "rho_X", "b2_S", "rho_S"):
-        p.add_argument(arg, type=int)
+        p.add_argument(arg, type=_nonnegative)
     p.set_defaults(func=_cmd_corank)
 
     p = sub.add_parser("delta-gcd", help="gcd of multisection fibre degrees")

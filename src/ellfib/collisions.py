@@ -16,7 +16,6 @@ MAX_BLOWUP_DEPTH) or dissolves it entirely.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from math import gcd
 
@@ -35,7 +34,6 @@ from .weierstrass import (
     KodairaType,
     ValuationProfile,
     classify,
-    is_infinite,
     minimalize,
 )
 
@@ -43,7 +41,6 @@ __all__ = [
     "MAX_BLOWUP_DEPTH",
     "BranchGerm",
     "CollisionPoint",
-    "BlowupResult",
     "BlowupNode",
     "BlowupTree",
     "MultipleFibreVerdict",
@@ -103,13 +100,6 @@ class BranchGerm:
     def fibre_type(self) -> KodairaType:
         return self._fibre_type
 
-    def _renamed(self, name: str) -> "BranchGerm":
-        """The same germ under another name, keeping the fibre type
-        already classified instead of classifying the profile again."""
-        germ = copy.copy(self)
-        object.__setattr__(germ, "name", name)
-        return germ
-
 
 @dataclass(frozen=True)
 class CollisionPoint:
@@ -126,9 +116,6 @@ class CollisionPoint:
                     f"{side} branch {germ.name!r} has vdelta = 0 and is not "
                     "part of the discriminant"
                 )
-
-    def type_pair(self) -> tuple[KodairaType, KodairaType]:
-        return (self.left.fibre_type, self.right.fibre_type)
 
 
 def _resolvable(left: KodairaType, right: KodairaType) -> tuple[int, str] | None:
@@ -156,34 +143,22 @@ def is_miranda_allowed(left: KodairaType, right: KodairaType) -> bool:
     return _resolvable(left, right) is not None
 
 
-def _sum_valuation(x, y):
-    if is_infinite(x) or is_infinite(y):
-        return INFINITY
-    return x + y
-
-
-@dataclass(frozen=True)
-class BlowupResult:
-    exceptional: BranchGerm
-    twist_count: int
-
-    @property
-    def dissolved(self) -> bool:
-        return self.exceptional.profile.vdelta == 0
-
-
-def blow_up(c: CollisionPoint) -> BlowupResult:
-    """Blow up the collision point once.
+def blow_up(c: CollisionPoint) -> tuple[ValuationProfile, int]:
+    """Blow up the collision point once: the minimal profile of the
+    exceptional curve and the number of twists removed, as minimalize
+    returns them.
 
     The exceptional curve meets the strict transforms of both branches;
-    its raw profile is the componentwise sum of the branch profiles,
-    which is then made minimal and classified.  Each original branch now
-    crosses the exceptional curve at a separate point, unless the
-    exceptional fibre is smooth (vdelta = 0) and no collision remains.
+    its raw profile is the componentwise sum of the branch profiles.
+    Each original branch now crosses the exceptional curve at a separate
+    point, unless the exceptional fibre is smooth (vdelta = 0) and no
+    collision remains.
     """
     l, r = c.left.profile, c.right.profile
-    va = _sum_valuation(l.va, r.va)
-    vb = _sum_valuation(l.vb, r.vb)
+    # an infinite side absorbs the other: adding an int past float range
+    # to the float INFINITY would raise OverflowError
+    va = INFINITY if INFINITY in (l.va, r.va) else l.va + r.va
+    vb = INFINITY if INFINITY in (l.vb, r.vb) else l.vb + r.vb
     vd = l.vdelta + r.vdelta
     try:
         raw = ValuationProfile(va, vb, vd)
@@ -192,8 +167,7 @@ def blow_up(c: CollisionPoint) -> BlowupResult:
             f"summed profile ({va}, {vb}, {vd}) of {c.left.name!r} + "
             f"{c.right.name!r} admits no monomial model: {exc}"
         ) from exc
-    minimal, twists = minimalize(raw)
-    return BlowupResult(BranchGerm(f"E({c.left.name}|{c.right.name})", minimal), twists)
+    return minimalize(raw)
 
 
 @dataclass(frozen=True)
@@ -248,16 +222,14 @@ def _expand(left: BranchGerm, right: BranchGerm, depth: int, path: str) -> Blowu
             f"collision {left.name!r} + {right.name!r} not resolved within "
             f"depth {MAX_BLOWUP_DEPTH}"
         )
-    step = blow_up(CollisionPoint(left, right))
+    minimal, twists = blow_up(CollisionPoint(left, right))
     # short positional name: the tree already records what was blown up
-    exc = step.exceptional._renamed("E" if not path else f"E:{path}")
+    exc = BranchGerm("E" if not path else f"E:{path}", minimal)
     kids = (
         _expand(left, exc, depth + 1, path + "L"),
         _expand(right, exc, depth + 1, path + "R"),
     )
-    return BlowupNode(
-        left, right, depth, path, BLOWN_UP, exc, step.twist_count, kids
-    )
+    return BlowupNode(left, right, depth, path, BLOWN_UP, exc, twists, kids)
 
 
 def miranda_reduce(collisions) -> list[BlowupTree]:

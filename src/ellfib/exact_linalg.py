@@ -357,10 +357,6 @@ class DivisibleGroup:
             prev = d
 
     @classmethod
-    def trivial(cls) -> "DivisibleGroup":
-        return cls(0, ())
-
-    @classmethod
     def cyclic(cls, n: int) -> "DivisibleGroup":
         n = abs(int(n))
         return cls(0, (n,) if n > 1 else ())
@@ -372,15 +368,12 @@ class DivisibleGroup:
             n *= d
         return n
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         parts = []
         if self.divisible_rank:
             parts.append(f"(Q/Z)^{self.divisible_rank}")
         parts.extend(f"Z/{d}" for d in self.invariant_factors)
         return " + ".join(parts) if parts else "0"
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def qz_kernel(b: IntMatrix) -> DivisibleGroup:

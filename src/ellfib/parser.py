@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import poly
 from .errors import DegenerateModel, Diagnostic, ParseError, ValidationError
-from .weierstrass import INFINITY, WeierstrassPolyModel, render_valuation
+from .weierstrass import INFINITY, WeierstrassPolyModel
 
 __all__ = [
     "BranchDecl",
@@ -39,11 +39,11 @@ __all__ = [
     "FibrationDescription",
     "parse_description",
     "parse_polynomial",
-    "render_description",
     "AXIS_BRANCH_NAMES",
     "MAX_FIBRE_INDEX",
     "MAX_EXPONENT",
     "MAX_TERMS",
+    "MAX_DENOMINATOR_DIGITS",
 ]
 
 AXIS_BRANCH_NAMES = ("s-axis", "t-axis")
@@ -69,6 +69,17 @@ MAX_EXPONENT = MAX_FIBRE_INDEX // 3
 # leading terms do not cancel costs time linear in its terms (one core
 # of a shared 2-core machine, Python 3.11).
 MAX_TERMS = 1000
+
+# Largest number of digits of lam, the lcm of a model's coefficient
+# denominators; the integral model multiplies a by lam^4 and b by lam^6.
+# Coprime denominators make lam as long as all of them together (40
+# terms over coprime 4000-digit ones: 160000 digits), and the work grows
+# with the square of its length.  At the bound, a model of 2000 terms
+# over one 4299-digit denominator (8.6 MB of input) parses and analyzes
+# in about 2 s.  Any one denominator within Python's default literal
+# limit fits.
+MAX_DENOMINATOR_DIGITS = 4300
+_DENOMINATOR_BOUND = 10**MAX_DENOMINATOR_DIGITS
 
 
 @dataclass(frozen=True)
@@ -109,6 +120,7 @@ def parse_polynomial(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly
               factor:= INT [/ INT] | s | t | var ^ INT
     """
     tokens: list[tuple[str, int]] = []  # (token, column)
+    text = text.rstrip()  # trailing whitespace ends the scan
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -227,14 +239,22 @@ def _parse_valuation(text: str):
     return None
 
 
-def _integral(a: poly.Poly, b: poly.Poly) -> WeierstrassPolyModel:
+def _integral(a: poly.Poly, b: poly.Poly) -> WeierstrassPolyModel | None:
     """(lam^4 a, lam^6 b) with lam the lcm of all denominators: an isomorphic
     model with int coefficients, the same valuations and Delta * lam^12,
-    so the model's leading-term reads of Delta run on ints."""
-    lam = math.lcm(*(c.denominator for c in (*a.values(), *b.values())))
+    so the model's leading-term reads of Delta run on ints.  None when
+    lam has more than MAX_DENOMINATOR_DIGITS digits."""
+    lam = 1
+    for c in (*a.values(), *b.values()):
+        lam = math.lcm(lam, c.denominator)
+        if lam >= _DENOMINATOR_BOUND:
+            return None
+    # lam^k / den = (lam / den) lam^(k-1), as den divides lam: a short
+    # division and a product, where dividing lam^k itself takes longer
+    lam3, lam5 = lam**3, lam**5
     return WeierstrassPolyModel(
-        {e: c.numerator * (lam**4 // c.denominator) for e, c in a.items()},
-        {e: c.numerator * (lam**6 // c.denominator) for e, c in b.items()},
+        {e: c.numerator * (lam // c.denominator) * lam3 for e, c in a.items()},
+        {e: c.numerator * (lam // c.denominator) * lam5 for e, c in b.items()},
     )
 
 
@@ -415,6 +435,12 @@ def parse_description(text: str) -> FibrationDescription:
     if coeffs is not None:
         try:
             model = _integral(*coeffs)
+            if model is None:
+                semantic.append(Diagnostic(
+                    model_line, 1,
+                    "the lcm of the coefficient denominators exceeds "
+                    f"{MAX_DENOMINATOR_DIGITS} digits (MAX_DENOMINATOR_DIGITS)",
+                ))
         except DegenerateModel as exc:
             semantic.append(Diagnostic(model_line, 1, str(exc)))
         declared = set(AXIS_BRANCH_NAMES)
@@ -444,26 +470,3 @@ def parse_description(text: str) -> FibrationDescription:
         topology=topology,
         picard_degrees=degrees,
     )
-
-
-def render_description(d: FibrationDescription) -> str:
-    """Canonical text form; parsing it back yields an equal description
-    (up to line numbers)."""
-    lines = []
-    if d.mode == "weierstrass":
-        lines.append(f"[weierstrass] a = {poly.render(d.model.a)} b = {poly.render(d.model.b)}")
-    else:
-        for b in d.branches:
-            lines.append(
-                f"[branch {b.name}] va={render_valuation(b.va)} "
-                f"vb={render_valuation(b.vb)} vdelta={render_valuation(b.vdelta)}"
-            )
-    for c in d.collisions:
-        extra = f" presentation={c.presentation}" if c.presentation else ""
-        lines.append(f"[collision] {c.left} {c.right}{extra}")
-    if d.topology:
-        b2x, rx, b2s, rs = d.topology
-        lines.append(f"[topology] b2_X={b2x} rho_X={rx} b2_S={b2s} rho_S={rs}")
-    if d.picard_degrees:
-        lines.append("[picard-degrees] " + " ".join(str(x) for x in d.picard_degrees))
-    return "\n".join(lines) + "\n"

@@ -18,24 +18,12 @@ Exponent = Tuple[int, int]
 Poly = Dict[Exponent, Rational]
 
 
-def zero() -> Poly:
-    return {}
-
-
 def monomial(coeff, es: int = 0, et: int = 0) -> Poly:
     if coeff == 0:
         return {}
     if es < 0 or et < 0:
         raise ValueError("exponents must be nonnegative")
     return {(es, et): coeff}
-
-
-def const(coeff) -> Poly:
-    return monomial(coeff, 0, 0)
-
-
-def is_zero(p: Poly) -> bool:
-    return not p
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -101,27 +89,3 @@ def axis_valuation(p: Poly, axis: str) -> int:
         raise ValueError(f"axis must be 's' or 't', got {axis!r}")
     idx = 0 if axis == "s" else 1
     return min(e[idx] for e in p)
-
-
-def render(p: Poly) -> str:
-    """Canonical text form, parseable by the description-file reader."""
-    if not p:
-        return "0"
-    terms = []
-    for (es, et) in sorted(p, key=lambda e: (-(e[0] + e[1]), -e[0])):
-        c = p[(es, et)]
-        factors = []
-        if es:
-            factors.append("s" if es == 1 else f"s^{es}")
-        if et:
-            factors.append("t" if et == 1 else f"t^{et}")
-        mag = abs(c)
-        if not factors or mag != 1:
-            factors.insert(0, str(mag))
-        body = "*".join(factors)
-        terms.append((c < 0, body))
-    first_neg, first_body = terms[0]
-    out = ("-" if first_neg else "") + first_body
-    for is_neg, body in terms[1:]:
-        out += (" - " if is_neg else " + ") + body
-    return out

@@ -102,8 +102,8 @@ def _branch_json(name: str, profile: ValuationProfile) -> tuple[dict, BranchGerm
         "j_valuation": render_valuation(j_valuation(minimal)),
         "components": kodaira.component_count(ft),
         "multiplicities": list(kodaira.multiplicities(ft)),
-        "discriminant_group": kodaira.discriminant_group(ft).render(),
-        "sha_punctured": kodaira.sha_punctured_transverse(ft).render(),
+        "discriminant_group": str(kodaira.discriminant_group(ft)),
+        "sha_punctured": str(kodaira.sha_punctured_transverse(ft)),
     }
     return entry, germ
 
@@ -146,12 +146,12 @@ def _leaf_json(
         "path": path,
         "pair": pair,
         "verdict": verdict.kind,
-        "obstruction": verdict.obstruction.render() if verdict.obstruction else None,
+        "obstruction": str(verdict.obstruction) if verdict.obstruction else None,
     }
     group = {
         "path": path,
         "pair": pair,
-        "registry": registry.render(),
+        "registry": str(registry),
         "computed": None,
         "witnesses": None,
         "agreement": None,
@@ -167,7 +167,7 @@ def _leaf_json(
         _error(errors, subject, exc)
         return verdict_entry, group
     group.update(
-        computed=computed.render(),
+        computed=str(computed),
         witnesses=[[str(x) for x in w] for w in witnesses] or None,
         agreement=computed == registry,
         divisible_part_flag=computed.divisible_rank > 0,

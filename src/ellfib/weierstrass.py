@@ -30,10 +30,6 @@ _STAR_KINDS = ("I", "I*")
 _FIXED_KINDS = ("II", "III", "IV", "IV*", "III*", "II*")
 
 
-def is_infinite(v) -> bool:
-    return v == INFINITY
-
-
 def render_valuation(v):
     """A valuation as it is printed: "inf" for INFINITY, a finite one as
     the int itself, so it reads the same in text and in JSON."""
@@ -110,7 +106,7 @@ class ValuationProfile:
             raise InvalidProfile(
                 f"vdelta must be a nonnegative integer, got {self.vdelta!r}"
             )
-        if is_infinite(self.va) and is_infinite(self.vb):
+        if self.va == INFINITY and self.vb == INFINITY:
             raise InvalidProfile("a and b cannot both vanish identically")
         floor = min(3 * self.va, 2 * self.vb)
         if self.vdelta < floor:
@@ -134,14 +130,14 @@ def minimalize(p: ValuationProfile) -> tuple[ValuationProfile, int]:
     Infinite valuations stay infinite and do not constrain the count.
     """
     candidates = [p.vdelta // 12]
-    if not is_infinite(p.va):
+    if p.va != INFINITY:
         candidates.append(p.va // 4)
-    if not is_infinite(p.vb):
+    if p.vb != INFINITY:
         candidates.append(p.vb // 6)
     k = min(candidates)
     reduced = ValuationProfile(
-        p.va if is_infinite(p.va) else p.va - 4 * k,
-        p.vb if is_infinite(p.vb) else p.vb - 6 * k,
+        p.va if p.va == INFINITY else p.va - 4 * k,
+        p.vb if p.vb == INFINITY else p.vb - 6 * k,
         p.vdelta - 12 * k,
     )
     return reduced, k
@@ -182,7 +178,7 @@ def classify(p: ValuationProfile) -> KodairaType:
 def j_valuation(p: ValuationProfile):
     """Valuation of j = 4 a^3 / Delta along the branch, INFINITY when a
     vanishes identically.  Negative exactly for the I_n, I_n* series."""
-    if is_infinite(p.va):
+    if p.va == INFINITY:
         return INFINITY
     return 3 * p.va - p.vdelta
 
@@ -359,6 +355,6 @@ discriminant = discriminant_vanishes
 
 def axis_profile(model: WeierstrassPolyModel, axis: str) -> ValuationProfile:
     """Valuation profile of the model along one coordinate axis."""
-    va = INFINITY if poly.is_zero(model.a) else poly.axis_valuation(model.a, axis)
-    vb = INFINITY if poly.is_zero(model.b) else poly.axis_valuation(model.b, axis)
+    va = INFINITY if not model.a else poly.axis_valuation(model.a, axis)
+    vb = INFINITY if not model.b else poly.axis_valuation(model.b, axis)
     return ValuationProfile(va, vb, discriminant_valuation(model.a, model.b, axis))

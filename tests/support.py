@@ -1,9 +1,11 @@
 """Shared helpers for the test suite: canonical valuation profiles per
-fibre type, small enumerations used by several test modules, and the
+fibre type, small enumerations used by several test modules, the
 polynomial oracles (powers and the fully expanded discriminant) that the
-library's leading-term reads are checked against."""
+library's leading-term reads are checked against, and the canonical
+text forms that the parser's round trips are checked against."""
 
 from ellfib import KodairaType, ValuationProfile, poly
+from ellfib.weierstrass import render_valuation
 
 # One minimal profile classifying to each type; for the I and I* series
 # the profile depends on the index.
@@ -56,7 +58,7 @@ def power(p: poly.Poly, n: int) -> poly.Poly:
     """p^n by repeated multiplication."""
     if n < 0:
         raise ValueError("negative power")
-    out = poly.const(1) if n == 0 else p
+    out = poly.monomial(1) if n == 0 else p
     for _ in range(n - 1):
         out = poly.mul(out, p)
     return out
@@ -66,3 +68,50 @@ def discriminant(a: poly.Poly, b: poly.Poly) -> poly.Poly:
     """Delta = 4 a^3 + 27 b^2, expanded term by term (zero when it
     vanishes identically)."""
     return poly.add(poly.scale(power(a, 3), 4), poly.scale(power(b, 2), 27))
+
+
+def render_poly(p: poly.Poly) -> str:
+    """Canonical text form, parseable by the description-file reader:
+    terms by total degree, then s-degree, both descending."""
+    if not p:
+        return "0"
+    terms = []
+    for (es, et) in sorted(p, key=lambda e: (-(e[0] + e[1]), -e[0])):
+        c = p[(es, et)]
+        factors = []
+        if es:
+            factors.append("s" if es == 1 else f"s^{es}")
+        if et:
+            factors.append("t" if et == 1 else f"t^{et}")
+        mag = abs(c)
+        if not factors or mag != 1:
+            factors.insert(0, str(mag))
+        terms.append((c < 0, "*".join(factors)))
+    first_neg, first_body = terms[0]
+    out = ("-" if first_neg else "") + first_body
+    for is_neg, body in terms[1:]:
+        out += (" - " if is_neg else " + ") + body
+    return out
+
+
+def render_description(d) -> str:
+    """Canonical text form of a parsed description; parsing it back
+    yields an equal description (up to line numbers)."""
+    lines = []
+    if d.mode == "weierstrass":
+        lines.append(f"[weierstrass] a = {render_poly(d.model.a)} b = {render_poly(d.model.b)}")
+    else:
+        for b in d.branches:
+            lines.append(
+                f"[branch {b.name}] va={render_valuation(b.va)} "
+                f"vb={render_valuation(b.vb)} vdelta={render_valuation(b.vdelta)}"
+            )
+    for c in d.collisions:
+        extra = f" presentation={c.presentation}" if c.presentation else ""
+        lines.append(f"[collision] {c.left} {c.right}{extra}")
+    if d.topology:
+        b2x, rx, b2s, rs = d.topology
+        lines.append(f"[topology] b2_X={b2x} rho_X={rx} b2_S={b2s} rho_S={rs}")
+    if d.picard_degrees:
+        lines.append("[picard-degrees] " + " ".join(str(x) for x in d.picard_degrees))
+    return "\n".join(lines) + "\n"

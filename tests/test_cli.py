@@ -10,7 +10,7 @@ import pytest
 from ellfib import collisions
 from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, build_arg_parser, main
 from ellfib.kodaira import MAX_LATTICE_COMPONENTS
-from ellfib.parser import MAX_EXPONENT, MAX_FIBRE_INDEX, MAX_TERMS
+from ellfib.parser import MAX_DENOMINATOR_DIGITS, MAX_EXPONENT, MAX_FIBRE_INDEX, MAX_TERMS
 from ellfib.presentations import MAX_PRESENTATION_ENTRY, MAX_PRESENTATION_SIZE
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -177,6 +177,28 @@ def test_corank_command(capsys):
     rc, _ = run("corank", "5", "5", "3", "1")
     assert rc == EXIT_ENGINE
     assert "NegativeCorank" in capsys.readouterr().err
+
+
+def test_corank_refuses_negative_and_overlong_values(capsys):
+    # a corank adds two of the values, so each has fewer digits than the
+    # limit on integer strings, as for [topology] values
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+        pytest.skip("needs Python's default integer string limit of 4300 digits")
+    big = "9" * 4300
+    for argv, message in (
+        (("--", "-1", "0", "0", "0"), "expected a nonnegative integer, got '-1'"),
+        (("x", "0", "0", "0"), "expected a nonnegative integer, got 'x'"),
+        ((big, "0", "0", big), "value of 4300 characters exceeds the limit of 4299 digits"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run("corank", *argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[0].startswith("usage: ellfib corank")
+        assert err.splitlines()[-1] == f"ellfib corank: error: argument b2_X: {message}"
+    # one digit fewer: the corank has 4300 digits and prints
+    assert run("corank", big[1:], "0", "0", big[1:]) == (EXIT_OK, "1" + "9" * 4298 + "8\n")
 
 
 def test_delta_gcd_command(capsys):
@@ -382,6 +404,30 @@ def test_report_overlong_integer_in_presentation_directory(tmp_path, capsys):
     line = _single_error_line(capsys)
     assert line.startswith("error: ") and line.endswith(f" in {bad}")
     assert f"{len(big)} digits" in line
+
+
+def test_report_blank_polynomial(tmp_path, capsys):
+    bad = tmp_path / "blank.fib"
+    for text, col in (("[weierstrass] a =  b = s\n", 18), ("[weierstrass] a = s b = #1\n", 24)):
+        bad.write_text(text, encoding="utf-8")
+        rc, out = run("report", str(bad))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert _single_error_line(capsys) == (
+            f"error: line 1, col {col}: expected a coefficient or variable in {bad}"
+        )
+
+
+def test_report_refuses_denominator_lcm_over_bound(tmp_path, capsys):
+    # two coprime denominators of 2201 digits: lam has 4401 digits
+    d = 10**2200 + 1
+    bad = tmp_path / "lcm.fib"
+    bad.write_text(f"[weierstrass] a = 1/{d}*s b = 1/{d + 2}*t\n", encoding="utf-8")
+    rc, out = run("report", str(bad))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert _single_error_line(capsys) == (
+        f"error: line 1, col 1: the lcm of the coefficient denominators exceeds "
+        f"{MAX_DENOMINATOR_DIGITS} digits (MAX_DENOMINATOR_DIGITS) in {bad}"
+    )
 
 
 def test_report_refuses_huge_fibre_index_and_exponent(tmp_path, capsys):

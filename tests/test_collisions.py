@@ -96,41 +96,55 @@ def test_miranda_allowed_patterns():
 # single blow-ups
 
 
+def _exceptional_type(point: CollisionPoint) -> str:
+    minimal, _ = blow_up(point)
+    return str(weierstrass.classify(minimal))
+
+
 def test_blow_up_multiplicative_pairs_add_indices():
     point = _point("I1", "I1")
-    step = blow_up(point)
-    assert str(step.exceptional.fibre_type) == "I2"
-    assert step.twist_count == 0
-    assert not step.dissolved
+    minimal, twists = blow_up(point)
+    assert minimal == ValuationProfile(0, 0, 2)
+    assert twists == 0
     # each branch now crosses the exceptional curve: I1 + I2, allowed
-    child = CollisionPoint(point.left, step.exceptional)
-    assert [str(t) for t in child.type_pair()] == ["I1", "I2"]
-    assert is_miranda_allowed(*child.type_pair())
-    step = blow_up(_point("I2", "I3"))
-    assert str(step.exceptional.fibre_type) == "I5"
+    child = CollisionPoint(point.left, BranchGerm("E", minimal))
+    assert [str(g.fibre_type) for g in (child.left, child.right)] == ["I1", "I2"]
+    assert is_miranda_allowed(child.left.fibre_type, child.right.fibre_type)
+    assert _exceptional_type(_point("I2", "I3")) == "I5"
 
 
 def test_blow_up_additive_examples():
     # II + II: summed profile (2, 2, 4) is type IV, both children allowed
     point = _point("II", "II")
-    step = blow_up(point)
-    assert str(step.exceptional.fibre_type) == "IV"
-    assert step.twist_count == 0
+    minimal, twists = blow_up(point)
+    exceptional = weierstrass.classify(minimal)
+    assert str(exceptional) == "IV"
+    assert twists == 0
     for germ in (point.left, point.right):
-        assert is_miranda_allowed(germ.fibre_type, step.exceptional.fibre_type)
+        assert is_miranda_allowed(germ.fibre_type, exceptional)
     # I1 + I0*: summed profile (2, 3, 7) is type I1*
-    step = blow_up(_point("I1", "I0*"))
-    assert str(step.exceptional.fibre_type) == "I1*"
+    assert _exceptional_type(_point("I1", "I0*")) == "I1*"
 
 
 def test_blow_up_absorbs_twists_and_dissolves():
     # I0* + I0*: (4, 6, 12) is a full twist of (0, 0, 0); the exceptional
     # fibre is smooth and the collision dissolves
-    step = blow_up(_point("I0*", "I0*"))
-    assert step.dissolved
-    assert step.twist_count == 1
-    assert step.exceptional.fibre_type.is_smooth
-    assert step.exceptional.profile.vdelta == 0
+    minimal, twists = blow_up(_point("I0*", "I0*"))
+    assert minimal == ValuationProfile(0, 0, 0)
+    assert twists == 1
+    assert weierstrass.classify(minimal).is_smooth
+
+
+def test_blow_up_infinite_side_absorbs_a_long_valuation():
+    # a valuation past float range added to INFINITY stays INFINITY
+    # instead of raising OverflowError: (10^400, 2, 4) is IV and
+    # (inf, 1, 2) is II, summing to (inf, 3, 6), type I0*
+    huge = 10**400
+    point = CollisionPoint(
+        BranchGerm("L", ValuationProfile(huge, 2, 4)),
+        BranchGerm("R", ValuationProfile(INFINITY, 1, 2)),
+    )
+    assert blow_up(point) == (ValuationProfile(INFINITY, 3, 6), 0)
 
 
 def test_blow_up_rejects_inconsistent_sums():
@@ -144,10 +158,7 @@ def test_blow_up_rejects_inconsistent_sums():
 
 def test_blow_up_is_symmetric():
     for a, b in (("II", "II*"), ("I2", "I0*"), ("II", "IV"), ("I1", "I2")):
-        left = blow_up(_point(a, b))
-        right = blow_up(_point(b, a))
-        assert left.exceptional.profile == right.exceptional.profile
-        assert left.twist_count == right.twist_count
+        assert blow_up(_point(a, b)) == blow_up(_point(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +221,7 @@ def test_reduce_exceptional_names_follow_paths():
 
 def test_reduce_classifies_each_fibre_once(monkeypatch):
     # 4 5 10 + 4 5 10 blows up 11 times: the two branches and each
-    # exceptional fibre are classified once, not again when the tree
-    # renames the exceptional germ after its path
+    # exceptional fibre are classified once, under its path name
     calls = {"classify": 0, "blow_up": 0}
     for name in calls:
         def counting(*args, name=name, real=getattr(collisions, name)):
@@ -222,7 +232,7 @@ def test_reduce_classifies_each_fibre_once(monkeypatch):
     profile = ValuationProfile(4, 5, 10)
     tree = miranda_reduce([CollisionPoint(BranchGerm("L", profile), BranchGerm("R", profile))])[0]
     assert calls == {"classify": 13, "blow_up": 11}
-    # the renamed germs keep the type of their own profile
+    # each exceptional germ carries the type of its own profile
     stack = [tree.root]
     while stack:
         node = stack.pop()
@@ -263,10 +273,10 @@ def test_expected_local_sha_table():
     assert expected_local_sha(T("I2"), T("I0*")) == z2
     assert expected_local_sha(T("I3*"), T("I4")) == z2
     assert expected_local_sha(T("III"), T("I0*")) == z2
-    assert expected_local_sha(T("I1"), T("I0*")) == DivisibleGroup.trivial()
-    assert expected_local_sha(T("I1"), T("I2")) == DivisibleGroup.trivial()
-    assert expected_local_sha(T("IV"), T("I0*")) == DivisibleGroup.trivial()
-    assert expected_local_sha(T("II"), T("IV*")) == DivisibleGroup.trivial()
+    assert expected_local_sha(T("I1"), T("I0*")) == DivisibleGroup(0)
+    assert expected_local_sha(T("I1"), T("I2")) == DivisibleGroup(0)
+    assert expected_local_sha(T("IV"), T("I0*")) == DivisibleGroup(0)
+    assert expected_local_sha(T("II"), T("IV*")) == DivisibleGroup(0)
     with pytest.raises(NotMirandaAllowed):
         expected_local_sha(T("II"), T("II"))
 

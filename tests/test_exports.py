@@ -1,6 +1,7 @@
 """The package's public names resolve: every module's __all__ names only
 attributes that exist, and every name the package root imports is one
-its module exports (its __all__, or its public names when it has none)."""
+its module exports (its __all__, or its public names when it has none),
+and every function the benchmark's tracer wraps by name exists."""
 
 import ast
 import importlib
@@ -38,3 +39,19 @@ def test_package_root_imports_only_exported_names():
         exported = _star_import(f"ellfib.{node.module}")
         unexported = [a.name for a in node.names if a.name not in exported]
         assert unexported == [], f"ellfib.{node.module}"
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer wraps these functions by name; read its
+    # TARGETS table without importing the benchmark
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    ]
+    missing = [
+        f"ellfib.{module}.{name}" for module, names in targets.items() for name in names
+        if not callable(getattr(importlib.import_module(f"ellfib.{module}"), name, None))
+    ]
+    assert targets and missing == []

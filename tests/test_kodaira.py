@@ -45,7 +45,7 @@ def _det_laplace(rows):
 
 def _expected_discriminant_table(i_max=12, istar_max=6):
     expected = {}
-    expected[KodairaType("I", 0)] = DivisibleGroup.trivial()
+    expected[KodairaType("I", 0)] = DivisibleGroup(0)
     for n in range(1, i_max + 1):
         expected[KodairaType("I", n)] = DivisibleGroup.cyclic(n)
     for n in range(0, istar_max + 1):
@@ -57,7 +57,7 @@ def _expected_discriminant_table(i_max=12, istar_max=6):
     for kind in ("III", "III*"):
         expected[KodairaType(kind)] = DivisibleGroup.cyclic(2)
     for kind in ("II", "II*"):
-        expected[KodairaType(kind)] = DivisibleGroup.trivial()
+        expected[KodairaType(kind)] = DivisibleGroup(0)
     return expected
 
 

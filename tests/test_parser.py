@@ -11,6 +11,7 @@ from ellfib import poly
 from ellfib.errors import ParseError, ValidationError
 from ellfib.parser import (
     AXIS_BRANCH_NAMES,
+    MAX_DENOMINATOR_DIGITS,
     MAX_EXPONENT,
     MAX_FIBRE_INDEX,
     MAX_TERMS,
@@ -18,11 +19,10 @@ from ellfib.parser import (
     CollisionDecl,
     parse_description,
     parse_polynomial,
-    render_description,
 )
 from ellfib.weierstrass import INFINITY, WeierstrassPolyModel, axis_profile
 
-from support import discriminant, power
+from support import discriminant, power, render_description, render_poly
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -34,11 +34,11 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 def test_parse_polynomial_forms():
     s = poly.monomial(1, 1, 0)
     assert parse_polynomial("s") == s
-    assert parse_polynomial("-s + 1") == poly.add(poly.scale(s, -1), poly.const(1))
+    assert parse_polynomial("-s + 1") == poly.add(poly.scale(s, -1), poly.monomial(1))
     assert parse_polynomial("2*s^3*t") == poly.monomial(2, 3, 1)
     assert parse_polynomial("1/2*t^2") == poly.monomial(Fraction(1, 2), 0, 2)
     assert parse_polynomial("s*s*s") == poly.monomial(1, 3, 0)
-    assert parse_polynomial("3 - 3") == poly.zero()
+    assert parse_polynomial("3 - 3") == {}
     assert parse_polynomial("+t") == poly.monomial(1, 0, 1)
 
 
@@ -195,6 +195,39 @@ def test_polynomial_terms_are_bounded():
         assert diag.message == f"polynomial has more than {MAX_TERMS} terms (MAX_TERMS)"
 
 
+def test_blank_polynomial_is_a_positioned_error():
+    # trailing whitespace ends the scan, and a blank polynomial meets the
+    # diagnostic for a missing first factor
+    assert parse_polynomial("1 ") == {(0, 0): 1}
+    assert parse_polynomial("s \t") == poly.monomial(1, 1, 0)
+    for text in ("", " ", " \t"):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, line=2, col_offset=10)
+        (diag,) = info.value.diagnostics
+        assert (diag.line, diag.column, diag.message) == (2, 11, "expected a coefficient or variable")
+    for text, col in (("[weierstrass] a =  b = s\n", 18), ("[weierstrass] a = s b = #1\n", 24)):
+        with pytest.raises(ParseError) as info:
+            parse_description(text)
+        (diag,) = info.value.diagnostics
+        assert (diag.line, diag.column, diag.message) == (1, col, "expected a coefficient or variable")
+
+
+def test_denominator_lcm_is_bounded():
+    # lam = d fits; with a second, coprime denominator of as many digits
+    # lam has 4401 > MAX_DENOMINATOR_DIGITS digits
+    d = 10**2200 + 1
+    model = parse_description(f"[weierstrass] a = 1/{d}*s b = 2/{d}*t\n").model
+    assert (model.a, model.b) == ({(1, 0): d**3}, {(0, 1): 2 * d**5})
+    with pytest.raises(ValidationError) as info:
+        parse_description(f"[weierstrass] a = 1/{d}*s b = 1/{d + 2}*t\n")
+    (diag,) = info.value.diagnostics
+    assert (diag.line, diag.column) == (1, 1)
+    assert diag.message == (
+        f"the lcm of the coefficient denominators exceeds {MAX_DENOMINATOR_DIGITS} "
+        "digits (MAX_DENOMINATOR_DIGITS)"
+    )
+
+
 def test_multiple_syntax_errors_are_collected():
     with pytest.raises(ParseError) as info:
         parse_description(
@@ -285,7 +318,7 @@ def test_weierstrass_model_is_made_integral():
 
 
 def _ratio_poly(rng: random.Random, terms: int) -> poly.Poly:
-    p = poly.zero()
+    p = {}
     for _ in range(terms):
         c = Fraction(rng.choice([x for x in range(-9, 10) if x]), rng.choice((1, 2, 3, 4, 6, 9)))
         p = poly.add(p, poly.monomial(c, rng.randrange(3), rng.randrange(3)))
@@ -308,7 +341,7 @@ def test_denominator_clearing_oracle():
             b = poly.add(poly.scale(power(w, 3), 2), r)
         else:
             a, b = w, r
-        text = f"[weierstrass] a = {poly.render(a)} b = {poly.render(b)}\n"
+        text = f"[weierstrass] a = {render_poly(a)} b = {render_poly(b)}\n"
         oracle = WeierstrassPolyModel(a, b)
         model = parse_description(text).model
         assert {type(c) for p in (model.a, model.b) for c in p.values()} <= {int}

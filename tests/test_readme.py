@@ -1,13 +1,18 @@
-"""The README's command-line examples, run against the CLI."""
+"""The README's command-line examples, run against the CLI, and its
+table of resource limits, checked against the code."""
 
 import contextlib
+import importlib
 import io
 import pathlib
+import pkgutil
 import re
 import shlex
+import sys
 
 import pytest
 
+import ellfib
 from ellfib.cli import build_arg_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -62,3 +67,22 @@ def test_readme_command_line_flags_are_accepted():
             assert re.search(rf"{flag}\b", help_out.getvalue()), f"{command} {flag}"
         commands += 1
     assert commands == 10
+
+
+def test_resource_limits_table_matches_the_code():
+    section = README.split("\n## Resource limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip().strip("`") for cell in line.split("|")[1:4]]
+        for line in section.splitlines() if line.startswith("| `")
+    ]
+    for name, module, value in rows:
+        home = sys.int_info if module == "sys.int_info" else importlib.import_module(module)
+        assert getattr(home, name) == int(value), name
+    # every MAX_ constant a module exports has a row
+    constants = {
+        f"ellfib.{m.name}.{name}"
+        for m in pkgutil.iter_modules(ellfib.__path__)
+        for name in getattr(importlib.import_module(f"ellfib.{m.name}"), "__all__", ())
+        if name.startswith("MAX_")
+    }
+    assert constants == {f"{module}.{name}" for name, module, _ in rows if module != "sys.int_info"}

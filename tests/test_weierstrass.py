@@ -260,7 +260,7 @@ def test_axis_profiles_double_i0star_model():
 
 def test_axis_profile_with_identically_zero_coefficient():
     # a = 0: va is infinite, vdelta = 2 vb
-    model = WeierstrassPolyModel(poly.zero(), poly.monomial(1, 2, 0))
+    model = WeierstrassPolyModel({}, poly.monomial(1, 2, 0))
     profile = axis_profile(model, "s")
     assert profile == ValuationProfile(INFINITY, 2, 4)
     assert str(classify(profile)) == "IV"
