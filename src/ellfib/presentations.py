@@ -20,6 +20,7 @@ kernel of the map induced by N between the two cokernels.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,7 +174,14 @@ def _e(c: int, *idx: int) -> tuple[int, ...]:
 
 
 def builtin_presentations() -> dict[tuple[str, str], CollisionPresentation]:
-    """Shipped presentations, keyed by the ordered type pair.
+    """Shipped presentations, keyed by the ordered type pair: a new dict
+    on each call, holding the frozen objects built once per process."""
+    return dict(_shipped())
+
+
+@functools.cache
+def _shipped() -> tuple[tuple[tuple[str, str], CollisionPresentation], ...]:
+    """The shipped (pair, presentation) entries, validated once.
 
     I2 + I0*: the resolved central fibre has six components with
     multiplicities (1, 1, 2, 2, 1, 1).  The I2 branch sweeps two
@@ -203,7 +211,7 @@ def builtin_presentations() -> dict[tuple[str, str], CollisionPresentation]:
             ),
         ),
     )
-    return {("I2", "I0*"): i2_i0star}
+    return ((("I2", "I0*"), i2_i0star),)
 
 
 def _json_int(value, field: str) -> int:

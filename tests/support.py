@@ -1,10 +1,16 @@
 """Shared helpers for the test suite: canonical valuation profiles per
 fibre type, small enumerations used by several test modules, the
 polynomial oracles (powers and the fully expanded discriminant) that the
-library's leading-term reads are checked against, and the canonical
-text forms that the parser's round trips are checked against."""
+library's leading-term reads are checked against, the canonical text
+forms that the parser's round trips are checked against, and the token
+parser that the one-pass polynomial scanner is checked against."""
+
+import re
+from fractions import Fraction
 
 from ellfib import KodairaType, ValuationProfile, poly
+from ellfib.errors import Diagnostic, ParseError
+from ellfib.parser import MAX_EXPONENT, MAX_TERMS
 from ellfib.weierstrass import render_valuation
 
 # One minimal profile classifying to each type; for the I and I* series
@@ -115,3 +121,123 @@ def render_description(d) -> str:
     if d.picard_degrees:
         lines.append("[picard-degrees] " + " ".join(str(x) for x in d.picard_degrees))
     return "\n".join(lines) + "\n"
+
+
+_TOKEN = re.compile(r"\s*(\d+|[st^*+/()-])")
+
+
+def parse_polynomial_tokens(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly:
+    """The token parser that `parser.parse_polynomial` replaced, kept as its
+    oracle: the whole text is tokenized first, then the tokens are walked
+    one at a time.  Parse infix polynomial text into int (for ratios,
+    Fraction) terms.
+
+    Grammar:  poly  := [-] term ((+|-) term)*
+              term  := factor (* factor)*
+              factor:= INT [/ INT] | s | t | var ^ INT
+    """
+    tokens: list[tuple[str, int]] = []  # (token, column)
+    text = text.rstrip()  # trailing whitespace ends the scan
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            stripped = text[pos:].lstrip()
+            col = col_offset + len(text) - len(stripped) + 1
+            raise ParseError([Diagnostic(line, col, f"unexpected character {stripped[0]!r} in polynomial")])
+        tokens.append((m.group(1), col_offset + m.start(1) + 1))
+        pos = m.end()
+
+    idx = 0
+
+    def peek() -> str | None:
+        return tokens[idx][0] if idx < len(tokens) else None
+
+    def fail(message: str):
+        col = tokens[idx][1] if idx < len(tokens) else (
+            tokens[-1][1] + len(tokens[-1][0]) if tokens else col_offset + 1
+        )
+        raise ParseError([Diagnostic(line, col, message)])
+
+    def take() -> str:
+        nonlocal idx
+        tok = tokens[idx][0]
+        idx += 1
+        return tok
+
+    def parse_factor() -> tuple[int | Fraction, int, int]:
+        tok = peek()
+        if tok is None:
+            fail("expected a coefficient or variable")
+        if tok.isdigit():
+            take()
+            num = int(tok)
+            if peek() == "/":
+                take()
+                den = peek()
+                if den is None or not den.isdigit():
+                    fail("expected an integer denominator")
+                take()
+                if int(den) == 0:
+                    fail("zero denominator")
+                return Fraction(num, int(den)), 0, 0
+            return num, 0, 0
+        if tok in ("s", "t"):
+            take()
+            exp = 1
+            if peek() == "^":
+                take()
+                e = peek()
+                if e is None or not e.isdigit():
+                    fail("expected an integer exponent after '^'")
+                take()
+                exp = int(e)
+            return (1, exp, 0) if tok == "s" else (1, 0, exp)
+        fail(f"unexpected token {tok!r} in polynomial")
+
+    # the terms are summed into one dict in place, dropping any that
+    # cancel, so the result is canonical and parsing stays linear
+    result: poly.Poly = {}
+    terms = 0
+    sign = 1
+    if peek() == "-":
+        take()
+        sign = -1
+    elif peek() == "+":
+        take()
+    while True:
+        start = idx
+        terms += 1
+        if terms > MAX_TERMS:
+            raise ParseError([Diagnostic(
+                line, tokens[start][1],
+                f"polynomial has more than {MAX_TERMS} terms (MAX_TERMS)",
+            )])
+        coeff, es, et = parse_factor()
+        while peek() == "*":
+            take()
+            c2, e2s, e2t = parse_factor()
+            coeff *= c2
+            es += e2s
+            et += e2t
+        if es > MAX_EXPONENT or et > MAX_EXPONENT:
+            raise ParseError([Diagnostic(
+                line, tokens[start][1],
+                f"exponent exceeds the limit of {MAX_EXPONENT} (MAX_EXPONENT)",
+            )])
+        total = result.get((es, et), 0) + sign * coeff
+        if total:
+            result[(es, et)] = total
+        else:
+            result.pop((es, et), None)
+        tok = peek()
+        if tok is None:
+            break
+        if tok == "+":
+            sign = 1
+        elif tok == "-":
+            sign = -1
+        else:
+            fail(f"expected '+' or '-', got {tok!r}")
+        take()
+    return result

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellfib import poly
+from ellfib import parser, poly
 from ellfib.errors import ParseError, ValidationError
 from ellfib.parser import (
     AXIS_BRANCH_NAMES,
@@ -22,7 +22,7 @@ from ellfib.parser import (
 )
 from ellfib.weierstrass import INFINITY, WeierstrassPolyModel, axis_profile
 
-from support import discriminant, power, render_description, render_poly
+from support import discriminant, parse_polynomial_tokens, power, render_description, render_poly
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -64,6 +64,75 @@ def test_parse_polynomial_errors_are_positioned():
         parse_polynomial("")
     with pytest.raises(ParseError):
         parse_polynomial("s + @")
+
+
+def _parse_outcome(parse, text, line, col_offset):
+    """What a polynomial reader makes of text: the terms with the type of
+    each coefficient, or the (line, column, message) of each diagnostic."""
+    try:
+        result = parse(text, line, col_offset)
+    except ParseError as exc:
+        return [(d.line, d.column, d.message) for d in exc.diagnostics]
+    return result, {e: type(c) for e, c in result.items()}
+
+
+def _random_polynomial(rng: random.Random) -> str:
+    """Signs, ratios, repeated and cancelling monomials, free whitespace."""
+    def gap():
+        return rng.choice(("", "", " ", "  ", "\t"))
+
+    def factor():
+        if rng.random() < 0.4:
+            f = str(rng.choice((0, 1, 2, 3, 10, 12, 100)))
+            if rng.random() < 0.4:
+                f += gap() + "/" + gap() + str(rng.choice((1, 2, 3, 4, 6)))
+            return f
+        f = rng.choice("st")
+        if rng.random() < 0.5:
+            f += gap() + "^" + gap() + str(rng.randint(0, 6))
+        return f
+
+    text = gap() + rng.choice(("", "", "-", "+")) + gap()
+    for k in range(rng.randint(1, 6)):
+        if k:
+            text += gap() + rng.choice("+-") + gap()
+        text += (gap() + "*" + gap()).join(factor() for _ in range(rng.randint(1, 3)))
+    return text + gap()
+
+
+_MUTATION_ALPHABET = "0123456789st^*+-/()@x\t \u0663"  # U+0663: an Arabic-Indic 3
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """One to three byte-level edits: delete, insert or replace a character."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(chars))
+        edit = rng.randrange(3)
+        if edit == 1 or not chars:
+            chars.insert(i, rng.choice(_MUTATION_ALPHABET))
+        elif edit == 0:
+            del chars[min(i, len(chars) - 1)]
+        else:
+            chars[min(i, len(chars) - 1)] = rng.choice(_MUTATION_ALPHABET)
+    return "".join(chars)
+
+
+def test_scanner_agrees_with_the_token_parser():
+    # the one-pass scanner against the token parser it replaced: equal
+    # terms and coefficient types on valid text, and equal diagnostics,
+    # with their precedence, on mutations of it
+    rng = random.Random(12)
+    errors = 0
+    for case in range(5000):
+        text = _random_polynomial(rng)
+        if case % 2:
+            text = _mutate(rng, text)
+        line, col_offset = rng.randint(1, 9), rng.randint(1, 30)
+        expected = _parse_outcome(parse_polynomial_tokens, text, line, col_offset)
+        assert _parse_outcome(parse_polynomial, text, line, col_offset) == expected, text
+        errors += isinstance(expected, list)
+    assert 1000 < errors < 2500  # both valid and invalid text were read
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +264,17 @@ def test_polynomial_terms_are_bounded():
         assert diag.message == f"polynomial has more than {MAX_TERMS} terms (MAX_TERMS)"
 
 
+def test_term_bound_reached_at_the_end_of_the_text():
+    # a term sign after the last allowed term, with no term behind it:
+    # the bound is met before the missing factor, at the end of the text
+    text = " + ".join(f"t^{k}" for k in range(MAX_TERMS)) + " +"
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, line=2, col_offset=10)
+    (diag,) = info.value.diagnostics
+    assert (diag.line, diag.column) == (2, 10 + len(text) + 1)
+    assert diag.message == f"polynomial has more than {MAX_TERMS} terms (MAX_TERMS)"
+
+
 def test_blank_polynomial_is_a_positioned_error():
     # trailing whitespace ends the scan, and a blank polynomial meets the
     # diagnostic for a missing first factor
@@ -298,6 +378,21 @@ def test_weierstrass_mode_validation():
     # malformed payload
     with pytest.raises(ParseError):
         parse_description("[weierstrass] a = s\n")
+
+
+def test_polynomials_are_read_through_the_module_global(monkeypatch):
+    # perfbench/tracing.py times parse_polynomial by replacing the module
+    # global, so parse_description must look it up on every call
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    real = parser.parse_polynomial
+    monkeypatch.setattr(parser, "parse_polynomial", counting)
+    parse_description("[weierstrass] a = -3*s^2 b = 2*t^3\n")
+    assert calls == ["-3*s^2", "2*t^3"]
 
 
 def test_weierstrass_polynomial_error_position():

@@ -94,6 +94,17 @@ def test_assemble_shapes_and_commutation():
     assert m0.to_rows() == [[1], [1], [2], [2], [1], [1]]
 
 
+def test_builtin_presentations_are_built_once():
+    # each call returns its own dict, so no caller can change what the
+    # next one sees, holding the same frozen presentations
+    first, second = builtin_presentations(), builtin_presentations()
+    assert first is not second
+    assert first == second
+    assert all(first[pair] is second[pair] for pair in first)
+    first.clear()
+    assert builtin_presentations() == second
+
+
 # ---------------------------------------------------------------------------
 # the local group
 
