@@ -25,7 +25,7 @@ from .collisions import (
 )
 from .errors import FibrationError, ParseError, ValidationError, naming_input
 from .parser import parse_description
-from .presentations import PresentationStore, load_presentation_file, local_sha_with_witnesses
+from .presentations import load_presentation_file, load_presentations, local_sha_with_witnesses
 from .weierstrass import (
     INFINITY,
     KodairaType,
@@ -187,12 +187,9 @@ def _cmd_report(args, out) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
         description = parse_description(text)
-    store = PresentationStore()
-    if args.presentations:
-        store.load_directory(args.presentations)
     doc = report_mod.analyze(
         description,
-        store=store,
+        store=load_presentations(args.presentations),
         base_dir=os.path.dirname(os.path.abspath(args.input)),
     )
     if args.format == "json":

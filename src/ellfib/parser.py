@@ -47,6 +47,7 @@ __all__ = [
     "MAX_EXPONENT",
     "MAX_TERMS",
     "MAX_DENOMINATOR_DIGITS",
+    "MAX_MODEL_BITS",
 ]
 
 AXIS_BRANCH_NAMES = ("s-axis", "t-axis")
@@ -78,11 +79,23 @@ MAX_TERMS = 1000
 # Coprime denominators make lam as long as all of them together (40
 # terms over coprime 4000-digit ones: 160000 digits), and the work grows
 # with the square of its length.  At the bound, a model of 2000 terms
-# over one 4299-digit denominator (8.6 MB of input) parses and analyzes
-# in about 1.1 s.  Any one denominator within Python's default literal
-# limit fits.
+# over one 4299-digit denominator (8.6 MB of input) parses in about 1 s
+# before MAX_MODEL_BITS refuses it.  Any one denominator within Python's
+# default literal limit fits.
 MAX_DENOMINATOR_DIGITS = 4300
 _DENOMINATOR_BOUND = 10**MAX_DENOMINATOR_DIGITS
+
+# Largest total bit_length over all coefficients of the integral model
+# (lam^4 a, lam^6 b), checked before Delta is read.  Where the leading
+# terms of 4a^3 and 27b^2 cancel, the model multiplies axis slices of a
+# and b, and the cost grows faster than linearly with the size of their
+# coefficients; the bounds on literals and lam alone let 1000 terms of
+# 4300-digit numbers through, hours of work.  The slowest model a seeded
+# search found under the bound, a = -3 c^2 and b = 2 c^3 + s^71 t with c
+# of 23 terms of 93 digits, parses and analyzes in about 2.2 s (one core
+# of a shared 2-core machine, Python 3.11).  The corpus and the
+# benchmark's models reach 1853 bits.
+MAX_MODEL_BITS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -211,6 +224,32 @@ _KEYVAL = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)")
 _WEIERSTRASS = re.compile(r"^\s*a\s*=\s*(.+?)\s+b\s*=\s*(.+?)\s*$")
 
 
+def _read_keys(payload: str, keys: tuple[str, ...], section: str, lineno: int, col: int):
+    """The key=value pairs of a [branch] or [topology] payload that starts
+    at 0-based column col, as {key: match} with each key of keys once, or
+    the Diagnostic for leftover text, a key missing, an unexpected key or
+    a key given twice."""
+    found = {}
+    repeated = False
+    for kv in _KEYVAL.finditer(payload):
+        repeated = repeated or kv.group(1) in found
+        found.setdefault(kv.group(1), kv)
+    leftovers = _KEYVAL.sub("", payload).strip()
+    if leftovers:
+        return Diagnostic(lineno, col + 1, f"unexpected text {leftovers!r} in [{section}]")
+    missing = [k for k in keys if k not in found]
+    extra = [k for k in found if k not in keys]
+    if missing:
+        what = f"missing {', '.join(missing)}"
+    elif extra:
+        what = f"unexpected {', '.join(extra)}"
+    elif repeated:
+        what = "duplicate keys"
+    else:
+        return found
+    return Diagnostic(lineno, col + 1, f"[{section}] needs {', '.join(keys)} ({what})")
+
+
 def _parse_valuation(text: str):
     if text.lower() in ("inf", "infinity"):
         return INFINITY
@@ -219,23 +258,38 @@ def _parse_valuation(text: str):
     return None
 
 
-def _integral(a: poly.Poly, b: poly.Poly) -> WeierstrassPolyModel | None:
+def _integral(a: poly.Poly, b: poly.Poly, line: int) -> WeierstrassPolyModel:
     """(lam^4 a, lam^6 b) with lam the lcm of all denominators: an isomorphic
     model with int coefficients, the same valuations and Delta * lam^12,
-    so the model's leading-term reads of Delta run on ints.  None when
-    lam has more than MAX_DENOMINATOR_DIGITS digits."""
+    so the model's leading-term reads of Delta run on ints.  Raises
+    ValidationError, at column 1 of the line, when lam has more than
+    MAX_DENOMINATOR_DIGITS digits or the coefficients more than
+    MAX_MODEL_BITS bits in all, and DegenerateModel when Delta vanishes."""
     lam = 1
     for c in (*a.values(), *b.values()):
         lam = math.lcm(lam, c.denominator)
         if lam >= _DENOMINATOR_BOUND:
-            return None
+            raise ValidationError([Diagnostic(
+                line, 1,
+                "the lcm of the coefficient denominators exceeds "
+                f"{MAX_DENOMINATOR_DIGITS} digits (MAX_DENOMINATOR_DIGITS)",
+            )])
     # lam^k / den = (lam / den) lam^(k-1), as den divides lam: a short
     # division and a product, where dividing lam^k itself takes longer
-    lam3, lam5 = lam**3, lam**5
-    return WeierstrassPolyModel(
-        {e: c.numerator * (lam // c.denominator) * lam3 for e, c in a.items()},
-        {e: c.numerator * (lam // c.denominator) * lam5 for e, c in b.items()},
-    )
+    integral, bits = [], 0
+    for p, lam_k in ((a, lam**3), (b, lam**5)):
+        out = {}
+        for e, c in p.items():
+            out[e] = v = c.numerator * (lam // c.denominator) * lam_k
+            bits += v.bit_length()
+            if bits > MAX_MODEL_BITS:
+                raise ValidationError([Diagnostic(
+                    line, 1,
+                    f"the integral model's coefficients exceed {MAX_MODEL_BITS} bits "
+                    "in all (MAX_MODEL_BITS)",
+                )])
+        integral.append(out)
+    return WeierstrassPolyModel(*integral)
 
 
 def _strip_comment(line: str) -> str:
@@ -287,32 +341,16 @@ def parse_description(text: str) -> FibrationDescription:
                 syntax.append(Diagnostic(lineno, len(indent) + 2, "[branch] needs a name"))
                 continue
             name = header_arg.strip()
-            vals = {}
-            consumed = 0
-            for kv in _KEYVAL.finditer(payload):
-                vals[kv.group(1)] = kv.group(2)
-                consumed += 1
-            leftovers = _KEYVAL.sub("", payload).strip()
-            if leftovers:
-                syntax.append(Diagnostic(lineno, payload_col + 1, f"unexpected text {leftovers!r} in [branch]"))
+            vals = _read_keys(payload, ("va", "vb", "vdelta"), section, lineno, payload_col)
+            if isinstance(vals, Diagnostic):
+                syntax.append(vals)
                 continue
-            missing = [k for k in ("va", "vb", "vdelta") if k not in vals]
-            extra = [k for k in vals if k not in ("va", "vb", "vdelta")]
-            if missing or extra or consumed != 3:
-                if missing:
-                    what = f"missing {', '.join(missing)}"
-                elif extra:
-                    what = f"unexpected {', '.join(extra)}"
-                else:
-                    what = "duplicate keys"
-                syntax.append(Diagnostic(lineno, payload_col + 1, f"[branch] needs va, vb, vdelta ({what})"))
-                continue
-            parsed = {k: _parse_valuation(v) for k, v in vals.items()}
+            parsed = {k: _parse_valuation(kv.group(2)) for k, kv in vals.items()}
             bad = [k for k, v in parsed.items() if v is None]
             if bad:
                 syntax.append(Diagnostic(
                     lineno, payload_col + 1,
-                    f"{bad[0]} must be a nonnegative integer or inf, got {vals[bad[0]]!r}",
+                    f"{bad[0]} must be a nonnegative integer or inf, got {vals[bad[0]].group(2)!r}",
                 ))
                 continue
             if parsed["vdelta"] == INFINITY:
@@ -320,9 +358,8 @@ def parse_description(text: str) -> FibrationDescription:
                 continue
             huge = [k for k, v in parsed.items() if v != INFINITY and v > MAX_FIBRE_INDEX]
             if huge:
-                kv = next(kv for kv in _KEYVAL.finditer(payload) if kv.group(1) == huge[0])
                 syntax.append(Diagnostic(
-                    lineno, payload_col + kv.start() + 1,
+                    lineno, payload_col + vals[huge[0]].start() + 1,
                     f"{huge[0]} exceeds the limit of {MAX_FIBRE_INDEX} (MAX_FIBRE_INDEX)",
                 ))
                 continue
@@ -360,9 +397,12 @@ def parse_description(text: str) -> FibrationDescription:
             collisions.append(CollisionDecl(parts[0], parts[1], pres, lineno))
 
         elif section == "topology":
-            vals = dict(kv.groups() for kv in _KEYVAL.finditer(payload))
             keys = ("b2_X", "rho_X", "b2_S", "rho_S")
-            if sorted(vals) != sorted(keys) or not all(v.isdecimal() for v in vals.values()):
+            vals = _read_keys(payload, keys, section, lineno, payload_col)
+            if isinstance(vals, Diagnostic):
+                syntax.append(vals)
+                continue
+            if not all(kv.group(2).isdecimal() for kv in vals.values()):
                 syntax.append(Diagnostic(
                     lineno, payload_col + 1,
                     "[topology] needs b2_X, rho_X, b2_S, rho_S as nonnegative integers",
@@ -371,7 +411,7 @@ def parse_description(text: str) -> FibrationDescription:
             # the corank adds two of these values, so it stays within the
             # limit and the report can print it
             long_value = limit and next(
-                (kv for kv in _KEYVAL.finditer(payload) if len(kv.group(2)) >= limit), None
+                (kv for kv in vals.values() if len(kv.group(2)) >= limit), None
             )
             if long_value:
                 syntax.append(Diagnostic(
@@ -380,12 +420,18 @@ def parse_description(text: str) -> FibrationDescription:
                     f"the limit of {limit - 1} digits for [topology] values",
                 ))
                 continue
-            topology = tuple(int(vals[k]) for k in keys)
+            if topology is not None:
+                syntax.append(Diagnostic(lineno, len(indent) + 2, "only one [topology] line is allowed"))
+                continue
+            topology = tuple(int(vals[k].group(2)) for k in keys)
 
         elif section == "picard-degrees":
             parts = payload.split()
             if not parts or not all(re.fullmatch(r"-?\d+", p) for p in parts):
                 syntax.append(Diagnostic(lineno, payload_col + 1, "[picard-degrees] needs integers"))
+                continue
+            if degrees is not None:
+                syntax.append(Diagnostic(lineno, len(indent) + 2, "only one [picard-degrees] line is allowed"))
                 continue
             degrees = tuple(int(p) for p in parts)
 
@@ -414,13 +460,9 @@ def parse_description(text: str) -> FibrationDescription:
     model: WeierstrassPolyModel | None = None
     if coeffs is not None:
         try:
-            model = _integral(*coeffs)
-            if model is None:
-                semantic.append(Diagnostic(
-                    model_line, 1,
-                    "the lcm of the coefficient denominators exceeds "
-                    f"{MAX_DENOMINATOR_DIGITS} digits (MAX_DENOMINATOR_DIGITS)",
-                ))
+            model = _integral(*coeffs, model_line)
+        except ValidationError as exc:
+            semantic.extend(exc.diagnostics)
         except DegenerateModel as exc:
             semantic.append(Diagnostic(model_line, 1, str(exc)))
         declared = set(AXIS_BRANCH_NAMES)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,12 +49,11 @@ __all__ = [
     "DivisorRecord",
     "BranchPresentation",
     "CollisionPresentation",
-    "PresentationStore",
     "assemble",
     "local_sha_with_witnesses",
-    "builtin_presentations",
     "presentation_from_dict",
     "load_presentation_file",
+    "load_presentations",
 ]
 
 
@@ -173,15 +173,9 @@ def _e(c: int, *idx: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def builtin_presentations() -> dict[tuple[str, str], CollisionPresentation]:
-    """Shipped presentations, keyed by the ordered type pair: a new dict
-    on each call, holding the frozen objects built once per process."""
-    return dict(_shipped())
-
-
 @functools.cache
-def _shipped() -> tuple[tuple[tuple[str, str], CollisionPresentation], ...]:
-    """The shipped (pair, presentation) entries, validated once.
+def _shipped() -> tuple[tuple[frozenset[str], CollisionPresentation], ...]:
+    """The shipped (type pair, presentation) entries, validated once.
 
     I2 + I0*: the resolved central fibre has six components with
     multiplicities (1, 1, 2, 2, 1, 1).  The I2 branch sweeps two
@@ -211,7 +205,7 @@ def _shipped() -> tuple[tuple[tuple[str, str], CollisionPresentation], ...]:
             ),
         ),
     )
-    return ((("I2", "I0*"), i2_i0star),)
+    return ((frozenset(("I2", "I0*")), i2_i0star),)
 
 
 def _json_int(value, field: str) -> int:
@@ -294,38 +288,17 @@ def load_presentation_file(path) -> tuple[tuple[str, str], CollisionPresentation
         raise PresentationInconsistent(f"{exc} in {path}") from exc
 
 
-class PresentationStore:
-    """Lookup of presentations by unordered type pair: the shipped
-    entries plus any extension files loaded on top."""
-
-    def __init__(self):
-        self._by_pair: dict[tuple, tuple[tuple[str, str], CollisionPresentation]] = {}
-        for pair, pres in builtin_presentations().items():
-            self.add(pair, pres)
-
-    @staticmethod
-    def _key(pair) -> tuple:
-        return tuple(sorted(pair))
-
-    def add(self, pair: tuple[str, str], pres: CollisionPresentation) -> None:
-        self._by_pair[self._key(pair)] = (pair, pres)
-
-    def load_file(self, path) -> tuple[str, str]:
-        pair, pres = load_presentation_file(path)
-        self.add(pair, pres)
-        return pair
-
-    def load_directory(self, dirpath) -> list[tuple[str, str]]:
-        import os
-
-        loaded = []
+def load_presentations(dirpath=None) -> dict[frozenset[str], CollisionPresentation]:
+    """Presentations keyed by unordered type pair: the shipped entries,
+    then each *.json file of dirpath in name order, a file replacing any
+    entry of its pair.  A new dict on each call; the shipped frozen
+    objects are built once per process."""
+    found = dict(_shipped())
+    if dirpath:
         for name in sorted(os.listdir(dirpath)):
             if name.endswith(".json"):
                 path = os.path.join(dirpath, name)
                 with naming_input(path):
-                    loaded.append(self.load_file(path))
-        return loaded
-
-    def lookup(self, left: str, right: str) -> CollisionPresentation | None:
-        entry = self._by_pair.get(self._key((left, right)))
-        return entry[1] if entry else None
+                    pair, pres = load_presentation_file(path)
+                found[frozenset(pair)] = pres
+    return found

@@ -29,8 +29,8 @@ from .errors import FibrationError, PresentationInconsistent
 from .parser import AXIS_BRANCH_NAMES, CollisionDecl, FibrationDescription
 from .presentations import (
     CollisionPresentation,
-    PresentationStore,
     load_presentation_file,
+    load_presentations,
     local_sha_with_witnesses,
 )
 from .weierstrass import (
@@ -112,7 +112,7 @@ def _presentation_for_leaf(
     leaf: BlowupNode,
     explicit: CollisionPresentation | None,
     explicit_name: str | None,
-    store: PresentationStore,
+    store: dict[frozenset[str], CollisionPresentation],
 ) -> tuple[CollisionPresentation | None, str | None]:
     lt, rt = (str(t) for t in leaf.type_pair())
     if explicit is not None and leaf.path == "":
@@ -123,17 +123,15 @@ def _presentation_for_leaf(
                 f"collision is {lt} + {rt}"
             )
         return explicit, explicit_name
-    found = store.lookup(lt, rt)
-    if found is not None:
-        return found, "registry"
-    return None, None
+    found = store.get(frozenset((lt, rt)))
+    return found, None if found is None else "registry"
 
 
 def _leaf_json(
     leaf: BlowupNode,
     explicit: CollisionPresentation | None,
     explicit_name: str | None,
-    store: PresentationStore,
+    store: dict[frozenset[str], CollisionPresentation],
     errors: list[dict],
     subject: str,
 ) -> tuple[dict, dict]:
@@ -179,7 +177,7 @@ def _leaf_json(
 def _collision_json(
     c: CollisionDecl,
     germs: dict[str, BranchGerm],
-    store: PresentationStore,
+    store: dict[frozenset[str], CollisionPresentation],
     base_dir: str | None,
     errors: list[dict],
 ) -> tuple[dict | None, list[tuple[dict, dict]]]:
@@ -220,13 +218,15 @@ def _collision_json(
 
 def analyze(
     d: FibrationDescription,
-    store: PresentationStore | None = None,
+    store: dict[frozenset[str], CollisionPresentation] | None = None,
     base_dir: str | None = None,
 ) -> dict:
     """Run the full pipeline on a parsed description and return the
     report document: a dict of JSON values in the fixed key order of
-    `report --format json`, with `errors` empty on a clean run."""
-    store = store if store is not None else PresentationStore()
+    `report --format json`, with `errors` empty on a clean run.  store
+    maps unordered type pairs to presentations, as load_presentations()
+    returns them, which is the default."""
+    store = store if store is not None else load_presentations()
     errors: list[dict] = []
     branches: list[dict] = []
     germs: dict[str, BranchGerm] = {}

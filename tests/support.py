@@ -2,16 +2,17 @@
 fibre type, small enumerations used by several test modules, the
 polynomial oracles (powers and the fully expanded discriminant) that the
 library's leading-term reads are checked against, the canonical text
-forms that the parser's round trips are checked against, and the token
-parser that the one-pass polynomial scanner is checked against."""
+forms that the parser's round trips are checked against, the token
+parser that the one-pass polynomial scanner is checked against, and
+polynomial text for a coefficient of a given size (`power_of_two`)."""
 
 import re
 from fractions import Fraction
 
-from ellfib import KodairaType, ValuationProfile, poly
+from ellfib import poly
 from ellfib.errors import Diagnostic, ParseError
 from ellfib.parser import MAX_EXPONENT, MAX_TERMS
-from ellfib.weierstrass import render_valuation
+from ellfib.weierstrass import KodairaType, ValuationProfile, render_valuation
 
 # One minimal profile classifying to each type; for the I and I* series
 # the profile depends on the index.
@@ -68,6 +69,12 @@ def power(p: poly.Poly, n: int) -> poly.Poly:
     for _ in range(n - 1):
         out = poly.mul(out, p)
     return out
+
+
+def power_of_two(k: int) -> str:
+    """2^k as polynomial text: a product of literals of at most 2^10000,
+    each within Python's int-string limit."""
+    return "*".join([str(2**10000)] * (k // 10000) + [str(2 ** (k % 10000))])
 
 
 def discriminant(a: poly.Poly, b: poly.Poly) -> poly.Poly:

@@ -38,7 +38,7 @@ from ellfib.presentations import (
     CollisionPresentation,
     DivisorRecord,
     assemble,
-    builtin_presentations,
+    load_presentations,
     local_sha_with_witnesses,
 )
 from ellfib.weierstrass import (
@@ -150,7 +150,7 @@ def test_criterion_02_local_sha_of_reference_collision():
     assert chart.same_class(w, reference)
     assert not chart.same_class(w, (0,) * 7)
     # The shipped registry entry is exactly this presentation.
-    assert builtin_presentations()[("I2", "I0*")] == pres
+    assert load_presentations()[frozenset(("I2", "I0*"))] == pres
 
 
 def test_criterion_03_multiple_fibre_verdict_census():

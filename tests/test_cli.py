@@ -10,8 +10,16 @@ import pytest
 from ellfib import collisions
 from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, build_arg_parser, main
 from ellfib.kodaira import MAX_LATTICE_COMPONENTS
-from ellfib.parser import MAX_DENOMINATOR_DIGITS, MAX_EXPONENT, MAX_FIBRE_INDEX, MAX_TERMS
+from ellfib.parser import (
+    MAX_DENOMINATOR_DIGITS,
+    MAX_EXPONENT,
+    MAX_FIBRE_INDEX,
+    MAX_MODEL_BITS,
+    MAX_TERMS,
+)
 from ellfib.presentations import MAX_PRESENTATION_ENTRY, MAX_PRESENTATION_SIZE
+
+from support import power_of_two
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -450,6 +458,11 @@ def test_report_refuses_huge_fibre_index_and_exponent(tmp_path, capsys):
         (
             "[weierstrass] a = s b = " + "t + " * MAX_TERMS + "1\n",
             f"line 1, col {25 + 4 * MAX_TERMS}: polynomial has more than {MAX_TERMS} terms (MAX_TERMS)",
+        ),
+        (  # a = 2^(B - 1) s has B bits, and b = t one more
+            f"[weierstrass] a = {power_of_two(MAX_MODEL_BITS - 1)}*s b = t\n",
+            f"line 1, col 1: the integral model's coefficients exceed {MAX_MODEL_BITS} bits "
+            "in all (MAX_MODEL_BITS)",
         ),
     ):
         bad.write_text(text, encoding="utf-8")

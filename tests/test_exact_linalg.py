@@ -27,7 +27,7 @@ from ellfib.exact_linalg import (
     smith_normal_form,
 )
 from ellfib.kodaira import reduced_pairing
-from ellfib.presentations import assemble, builtin_presentations
+from ellfib.presentations import assemble, load_presentations
 from ellfib.weierstrass import KodairaType
 
 
@@ -383,7 +383,7 @@ def test_each_caller_builds_only_the_transforms_it_reads(monkeypatch):
 
     monkeypatch.setattr(exact_linalg, "smith_normal_form", recording)
     monkeypatch.setattr(kodaira, "smith_normal_form", recording)
-    r, n, m0, sigma = assemble(builtin_presentations()[("I2", "I0*")])
+    r, n, m0, sigma = assemble(load_presentations()[frozenset(("I2", "I0*"))])
     qz_kernel(n)
     assert built() == []
     cokernel_chart(r)

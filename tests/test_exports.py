@@ -1,12 +1,15 @@
 """The package's public names resolve: every module's __all__ names only
-attributes that exist, and every name the package root imports is one
-its module exports (its __all__, or its public names when it has none),
-and every function the benchmark's tracer wraps by name exists."""
+attributes that exist, and every function the benchmark's tracer wraps
+by name exists.  The package root imports nothing, so importing one
+module loads only that module and what it imports."""
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -31,14 +34,16 @@ def test_module_all_names_exist(name):
     assert set(declared) <= _star_import(module.__name__)
 
 
-def test_package_root_imports_only_exported_names():
-    tree = ast.parse(pathlib.Path(ellfib.__file__).read_text(encoding="utf-8"))
-    imports = [n for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1]
-    assert imports
-    for node in imports:
-        exported = _star_import(f"ellfib.{node.module}")
-        unexported = [a.name for a in node.names if a.name not in exported]
-        assert unexported == [], f"ellfib.{node.module}"
+def test_importing_one_module_loads_only_its_imports():
+    # in a fresh interpreter, on the same path as this one
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ellfib.exact_linalg; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ellfib'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(ellfib.__path__[0]).parent)},
+    )
+    assert run.stdout == "['ellfib', 'ellfib.errors', 'ellfib.exact_linalg']\n"
 
 
 def test_traced_names_exist():

@@ -1,10 +1,12 @@
-"""Seeded byte-mutation fuzz of the command line: `report` (text and
-json) over mutated corpus descriptions and `sha-local` over mutated
-presentation files.  Every case must end in exit code 0, 1 or 2, raise
-nothing out of `cli.main` and finish within CASE_SECONDS.
+"""Seeded fuzz of the command line: byte mutations of the corpus
+descriptions through `report` (text and json) and of the presentation
+files through `sha-local`, and argument lists for the eight subcommands
+that read no file, drawn from a fixed set of atoms.  Every case must end
+in exit code 0, 1 or 2 (argparse's SystemExit counts as an exit), raise
+nothing else out of `cli.main` and finish within CASE_SECONDS.
 
-The seed and the case count are fixed.  For a longer local run, set
-CASES below (12,000 cases take about 10 s)."""
+The seeds and the case counts are fixed.  For a longer local run, set
+CASES or ARGV_CASES below (12,000 file cases take about 10 s)."""
 
 import contextlib
 import io
@@ -19,11 +21,28 @@ from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, main
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 SEED = 20261018
 CASES = 2000
+ARGV_SEED = 20261019
+ARGV_CASES = 3000
 CASE_SECONDS = 5
 
 # bytes that mean something to a description or a presentation file,
 # drawn three times in four; any byte otherwise
 _ALPHABET = b"0123456789 \t\n#[]=^*/+-stabinfvdelta{}[]\":,"
+
+
+# subcommand: how many arguments it takes (delta-gcd takes one or more;
+# three here)
+_ARGV_COMMANDS = {
+    "classify": 3, "minimalize": 3, "lattice": 1, "blowup": 6, "reduce": 6,
+    "sha-punctured": 1, "corank": 4, "delta-gcd": 3,
+}
+_TYPES = ("I0", "I1", "I2", "I7", "I3*", "II", "III", "IV", "IV*", "III*", "II*")
+# words int() or the type parser refuse or read unexpectedly, fibre
+# indices past the bounds, literals at and past Python's int-string
+# limit, and argparse's own
+_ARGV_ATOMS = (
+    "inf", "nan", "\u0663", "I100000", "I1001*", "9" * 4300, "1" * 5000, "--", "-h", "-1",
+)
 
 
 class _Timeout(Exception):
@@ -84,5 +103,46 @@ def test_mutated_inputs_end_in_an_exit_code(tmp_path):
             finally:
                 signal.alarm(0)
             assert rc in (EXIT_OK, EXIT_INPUT, EXIT_ENGINE), (case, path.name, target.read_bytes())
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _argv(rng: random.Random) -> list[str]:
+    """A subcommand and, three times in four, as many arguments as it
+    takes, each a plain value (a fibre type for `lattice` and
+    `sha-punctured`, else a small integer) or, one time in three, an
+    atom."""
+    command = rng.choice(sorted(_ARGV_COMMANDS))
+    count = _ARGV_COMMANDS[command] if rng.random() < 0.75 else rng.randint(0, 7)
+    typed = command in ("lattice", "sha-punctured")
+    return [command] + [
+        rng.choice(_ARGV_ATOMS) if rng.random() < 1 / 3
+        else rng.choice(_TYPES) if typed else str(rng.randint(0, 12))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
+def test_argument_lists_end_in_an_exit_code():
+    rng = random.Random(ARGV_SEED)
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    try:
+        for case in range(ARGV_CASES):
+            argv = _argv(rng)
+            shown = [a if len(a) < 20 else f"<{len(a)} x {a[0]}>" for a in argv]
+            signal.alarm(CASE_SECONDS)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    rc = main(argv, out=io.StringIO())
+            except SystemExit as exc:  # argparse's exit: help, or a usage error
+                rc = exc.code
+            except _Timeout:
+                pytest.fail(f"case {case} ran over {CASE_SECONDS} s: {shown}")
+            except Exception as exc:  # an escape: report the arguments that caused it
+                pytest.fail(f"case {case} raised {exc!r}: {shown}")
+            finally:
+                signal.alarm(0)
+            assert rc in (EXIT_OK, EXIT_INPUT, EXIT_ENGINE), (case, shown)
     finally:
         signal.signal(signal.SIGALRM, previous)

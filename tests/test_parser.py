@@ -14,6 +14,7 @@ from ellfib.parser import (
     MAX_DENOMINATOR_DIGITS,
     MAX_EXPONENT,
     MAX_FIBRE_INDEX,
+    MAX_MODEL_BITS,
     MAX_TERMS,
     BranchDecl,
     CollisionDecl,
@@ -22,7 +23,14 @@ from ellfib.parser import (
 )
 from ellfib.weierstrass import INFINITY, WeierstrassPolyModel, axis_profile
 
-from support import discriminant, parse_polynomial_tokens, power, render_description, render_poly
+from support import (
+    discriminant,
+    parse_polynomial_tokens,
+    power,
+    power_of_two,
+    render_description,
+    render_poly,
+)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -182,6 +190,23 @@ def test_digits_int_cannot_read_are_diagnosed():
     assert "[topology] needs" in str(info.value)
 
 
+@pytest.mark.parametrize("lines,diagnostic", [
+    (["[topology] b2_X=23 rho_X=20 b2_S=2 rho_S=1 b2_X=5 junk here"],
+     (2, 12, "unexpected text 'junk here' in [topology]")),
+    (["[topology]  b2_X=23 rho_X=20 b2_S=2 rho_S=1 b2_X=5"],
+     (2, 13, "[topology] needs b2_X, rho_X, b2_S, rho_S (duplicate keys)")),
+    (["[topology] b2_X=23 rho_X=20 b2_S=2 rho_S=1", "  [topology] b2_X=13 rho_X=2 b2_S=2 rho_S=1"],
+     (3, 4, "only one [topology] line is allowed")),
+    (["[picard-degrees] 3 0", "[picard-degrees] 2"],
+     (3, 2, "only one [picard-degrees] line is allowed")),
+], ids=["topology-leftover-text", "topology-repeated-key", "second-topology", "second-picard-degrees"])
+def test_shared_section_diagnostics(lines, diagnostic):
+    with pytest.raises(ParseError) as info:
+        parse_description("\n".join(["[branch A] va=0 vb=0 vdelta=1", *lines]) + "\n")
+    (diag,) = info.value.diagnostics
+    assert (diag.line, diag.column, diag.message) == diagnostic
+
+
 def test_parse_collision_with_presentation():
     d = parse_description(
         "[branch A] va=0 vb=0 vdelta=2\n"
@@ -306,6 +331,26 @@ def test_denominator_lcm_is_bounded():
         f"the lcm of the coefficient denominators exceeds {MAX_DENOMINATOR_DIGITS} "
         "digits (MAX_DENOMINATOR_DIGITS)"
     )
+
+
+def test_integral_model_size_is_bounded():
+    # a = 2^(B - 2) s has B - 1 bits and b = t one: B bits in all
+    at_bound = parse_description(f"[weierstrass] a = {power_of_two(MAX_MODEL_BITS - 2)}*s b = t\n")
+    assert at_bound.model.a == {(1, 0): 2 ** (MAX_MODEL_BITS - 2)}
+    message = f"the integral model's coefficients exceed {MAX_MODEL_BITS} bits in all (MAX_MODEL_BITS)"
+    for a, b in (
+        (f"{power_of_two(MAX_MODEL_BITS - 1)}*s", "t"),
+        # lam = 2 makes these lam^4 a = 2^(B - 2) s and lam^6 b = 2^5 t
+        (f"{power_of_two(MAX_MODEL_BITS - 6)}*s", "1/2*t"),
+        # the bound comes before the check that Delta vanishes
+        (f"-3*{power_of_two(MAX_MODEL_BITS)}*s^2", f"2*{power_of_two(3 * MAX_MODEL_BITS // 2)}*s^3"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            parse_description(f"[branch A] va=0 vb=0 vdelta=1\n\n[weierstrass] a = {a} b = {b}\n")
+        assert [(d.line, d.column, d.message) for d in info.value.diagnostics] == [
+            (3, 1, "[weierstrass] and [branch] modes cannot be mixed"),
+            (3, 1, message),
+        ]
 
 
 def test_multiple_syntax_errors_are_collected():

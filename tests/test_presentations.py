@@ -12,10 +12,9 @@ from ellfib.presentations import (
     BranchPresentation,
     CollisionPresentation,
     DivisorRecord,
-    PresentationStore,
     assemble,
-    builtin_presentations,
     load_presentation_file,
+    load_presentations,
     local_sha_with_witnesses,
     presentation_from_dict,
 )
@@ -27,7 +26,7 @@ REFERENCE_WITNESS = (
 
 
 def _i2_i0star() -> CollisionPresentation:
-    return builtin_presentations()[("I2", "I0*")]
+    return load_presentations()[frozenset(("I2", "I0*"))]
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +96,12 @@ def test_assemble_shapes_and_commutation():
 def test_builtin_presentations_are_built_once():
     # each call returns its own dict, so no caller can change what the
     # next one sees, holding the same frozen presentations
-    first, second = builtin_presentations(), builtin_presentations()
+    first, second = load_presentations(), load_presentations()
     assert first is not second
     assert first == second
     assert all(first[pair] is second[pair] for pair in first)
     first.clear()
-    assert builtin_presentations() == second
+    assert load_presentations() == second
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +226,23 @@ def test_load_presentation_file(tmp_path):
 
 
 def test_store_lookup_is_order_insensitive(tmp_path):
-    store = PresentationStore()
-    found = store.lookup("I2", "I0*")
+    store = load_presentations()
+    found = store.get(frozenset(("I2", "I0*")))
     assert found is not None and found == _i2_i0star()
-    assert store.lookup("I0*", "I2") == found
-    assert store.lookup("I1", "I1") is None
-    # loading a directory registers every *.json file
-    path = tmp_path / "custom.json"
+    assert store.get(frozenset(("I0*", "I2"))) is found
+    assert store.get(frozenset(("I1", "I1"))) is None
+    # a *.json file in the directory replaces the shipped entry of its
+    # pair, here written in the other order; other files are not read
     data = _builtin_as_dict()
+    data["pair"] = ["I0*", "I2"]
+    data["branches"][1]["divisors"].reverse()
+    path = tmp_path / "custom.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    fresh = PresentationStore()
-    loaded = fresh.load_directory(tmp_path)
-    assert loaded == [("I2", "I0*")]
+    (tmp_path / "notes.txt").write_text("not a presentation", encoding="utf-8")
+    loaded = load_presentations(tmp_path)
+    assert list(loaded) == [frozenset(("I2", "I0*"))]
+    assert loaded[frozenset(("I2", "I0*"))] == load_presentation_file(path)[1] != found
+    assert load_presentations()[frozenset(("I2", "I0*"))] is found
 
 
 def test_shipped_presentation_file_matches_builtin():
