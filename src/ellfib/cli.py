@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import kodaira, report as report_mod
@@ -24,10 +25,9 @@ from .collisions import (
     multiple_fibre_verdict,
 )
 from .errors import FibrationError, ParseError, ValidationError, naming_input
-from .parser import parse_description
+from .parser import parse_description, read_integer, read_nonnegative, read_valuation
 from .presentations import load_presentation_file, load_presentations, local_sha_with_witnesses
 from .weierstrass import (
-    INFINITY,
     KodairaType,
     ValuationProfile,
     classify,
@@ -41,34 +41,17 @@ EXIT_INPUT = 1
 EXIT_ENGINE = 2
 
 
-def _nonnegative(text: str, what: str = "value", expected: str = "a nonnegative integer") -> int:
-    # as for [topology] values: the sum of two, which a blow-up or a
-    # corank prints, stays short enough for str() (0: no limit)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and len(text) >= limit:
-        raise argparse.ArgumentTypeError(
-            f"{what} of {len(text)} characters exceeds the limit of {limit - 1} digits"
-        )
-    try:
-        v = int(text)
-        if v >= 0:
-            return v
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-
-
-def _valuation(text: str):
-    if text.lower() in ("inf", "infinity"):
-        return INFINITY
-    return _nonnegative(text, "valuation", "a nonnegative integer or 'inf'")
-
-
-def _fibre_type(text: str) -> KodairaType:
-    try:
-        return KodairaType.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _argument(read, what: str = "value"):
+    """An argparse type over read, one of the parser's readers (so an
+    argument takes what a file takes in its role) or KodairaType.parse."""
+    def convert(text: str):
+        try:
+            return read(text)
+        except OverflowError as exc:
+            raise argparse.ArgumentTypeError(f"{what} {exc}")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
 
 
 def _profile(args, prefix: str = "") -> ValuationProfile:
@@ -145,8 +128,7 @@ def _cmd_reduce(args, out) -> int:
 
 
 def _cmd_sha_local(args, out) -> int:
-    with naming_input(args.presentation):
-        _, pres = load_presentation_file(args.presentation)
+    _, pres = load_presentation_file(args.presentation)
     group, witnesses = local_sha_with_witnesses(pres)
     print(f"local sha: {group}", file=out)
     for w in witnesses:
@@ -181,12 +163,9 @@ def _cmd_delta_gcd(args, out) -> int:
 
 
 def _cmd_report(args, out) -> int:
-    import os
-
     with naming_input(args.input):
         with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        description = parse_description(text)
+            description = parse_description(fh.read())
     doc = report_mod.analyze(
         description,
         store=load_presentations(args.presentations),
@@ -209,10 +188,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    valuation = _argument(read_valuation, "valuation")
+    vdelta = _argument(read_nonnegative, "valuation")
+
     def add_profile_args(p, prefix=""):
-        p.add_argument(prefix + "va", type=_valuation, help="valuation of a (or inf)")
-        p.add_argument(prefix + "vb", type=_valuation, help="valuation of b (or inf)")
-        p.add_argument(prefix + "vdelta", type=_valuation, help="valuation of the discriminant")
+        p.add_argument(prefix + "va", type=valuation, help="valuation of a (or inf)")
+        p.add_argument(prefix + "vb", type=valuation, help="valuation of b (or inf)")
+        p.add_argument(prefix + "vdelta", type=vdelta, help="valuation of the discriminant")
 
     p = sub.add_parser("classify", help="Kodaira type of a minimal valuation profile")
     add_profile_args(p)
@@ -223,7 +205,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_minimalize)
 
     p = sub.add_parser("lattice", help="component lattice of a fibre type")
-    p.add_argument("type", type=_fibre_type, help="fibre type, e.g. I3, I0*, IV*")
+    p.add_argument("type", type=_argument(KodairaType.parse), help="fibre type, e.g. I3, I0*, IV*")
     p.set_defaults(func=_cmd_lattice)
 
     for name, helptext in (
@@ -240,16 +222,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sha_local)
 
     p = sub.add_parser("sha-punctured", help="punctured transverse Tate-Shafarevich group of a fibre type")
-    p.add_argument("type", type=_fibre_type)
+    p.add_argument("type", type=_argument(KodairaType.parse))
     p.set_defaults(func=_cmd_sha_punctured)
 
     p = sub.add_parser("corank", help="corank from Betti/Picard numbers")
     for arg in ("b2_X", "rho_X", "b2_S", "rho_S"):
-        p.add_argument(arg, type=_nonnegative)
+        p.add_argument(arg, type=_argument(read_nonnegative))
     p.set_defaults(func=_cmd_corank)
 
     p = sub.add_parser("delta-gcd", help="gcd of multisection fibre degrees")
-    p.add_argument("degrees", type=int, nargs="+")
+    p.add_argument("degrees", type=_argument(read_integer), nargs="+")
     p.set_defaults(func=_cmd_delta_gcd)
 
     p = sub.add_parser("report", help="analyze a fibration description file")

@@ -287,7 +287,7 @@ def corank(b2_X: int, rho_X: int, b2_S: int, rho_S: int) -> int:
 def delta_eta_gcd(fibre_degrees) -> int:
     """gcd of the absolute degrees of a multisection against the fibre;
     the generic Tate-Shafarevich obstruction is killed by this integer."""
-    degs = [abs(int(d)) for d in fibre_degrees]
+    degs = [abs(d) for d in fibre_degrees]
     if not degs or all(d == 0 for d in degs):
         raise AllZero("need at least one nonzero fibre degree")
     g = 0

@@ -108,16 +108,21 @@ class ValidationError(FibrationError):
 @contextmanager
 def naming_input(path):
     """Make every input fault inside the block name `path`: the
-    diagnostics of a ParseError or ValidationError, and a JSON or UTF-8
-    decoding failure or an integer literal that int() refuses as too
-    long, each turned into a ParseError.  Files must be read whole, so
-    that the decoder's byte offset is an offset into the file."""
+    diagnostics of a ParseError or ValidationError and the message of a
+    PresentationInconsistent, and turn a JSON or UTF-8 decoding failure,
+    JSON nested deeper than the decoder recurses or an integer literal
+    that int() refuses as too long into a ParseError.  Files must be read
+    whole, so that the decoder's byte offset is an offset into the file."""
     try:
         yield
     except (ParseError, ValidationError) as exc:
         raise type(exc)(
             Diagnostic(d.line, d.column, f"{d.message} in {path}") for d in exc.diagnostics
         ) from exc
+    except PresentationInconsistent as exc:
+        raise PresentationInconsistent(f"{exc} in {path}") from exc
+    except RecursionError as exc:
+        raise ParseError([Diagnostic(None, None, f"JSON nesting too deep to decode in {path}")]) from exc
     except json.JSONDecodeError as exc:
         raise ParseError([Diagnostic(exc.lineno, exc.colno, f"{exc.msg} in {path}")]) from exc
     except UnicodeDecodeError as exc:

@@ -9,9 +9,9 @@ exactly "first rank(A) coordinates arbitrary" and the kernel is a sum of
 cyclic groups Z/d_i plus a divisible part.
 
 qz_kernel needs D alone; it runs the loop on a copy of the matrix and
-records nothing.  smith_normal_form runs the loop once and records its
-elementary operations; each of U, V and their inverses is built on first
-read by replaying that record onto an identity matrix.  Every caller
+drops the record of elementary operations that the loop appends to.
+smith_normal_form keeps it; each of U, V and their inverses is built on
+first read by replaying that record onto an identity matrix.  Every caller
 reads one or two of the four: cokernel_chart reads U^-1, and
 induced_kernel_with_witnesses reads U of R and U^-1 of M0 for the
 cokernel coordinates and V^-1 of the induced block for the witnesses.
@@ -61,7 +61,7 @@ class IntMatrix:
                 f"{self.rows * self.cols} entries, got {len(self.entries)}"
             )
         for e in self.entries:
-            if not isinstance(e, int):
+            if type(e) is not int:  # no bool, float or Fraction
                 raise TypeError(f"matrix entries must be int, got {e!r}")
 
     @classmethod
@@ -73,8 +73,7 @@ class IntMatrix:
                 raise DimensionMismatch("ragged rows")
         else:
             width = 0 if cols is None else cols
-        flat = tuple(int(e) for r in rows for e in r)
-        return cls(len(rows), width, flat)
+        return cls(len(rows), width, tuple(e for r in rows for e in r))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -91,12 +90,12 @@ class IntMatrix:
         cols = n if cols is None else cols
         ent = [0] * (rows * cols)
         for i, d in enumerate(diag):
-            ent[i * cols + i] = int(d)
+            ent[i * cols + i] = d
         return cls(rows, cols, tuple(ent))
 
     @classmethod
     def column(cls, values: Sequence[int]) -> "IntMatrix":
-        return cls(len(values), 1, tuple(int(v) for v in values))
+        return cls(len(values), 1, tuple(values))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -196,20 +195,12 @@ class SmithDecomposition:
         return tuple(d for d in self.diagonal() if d > 1)
 
 
-def _identity_lists(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-# Elementary operations _diagonalize reports as record(kind, i, j, q):
+# Elementary operations _diagonalize records as (kind, i, j, q):
 _ROW_ADD = 0  # row i += q * row j
 _ROW_SWAP = 1  # swap rows i and j
 _ROW_NEG = 2  # row i *= -1
 _COL_ADD = 3  # column i += q * column j
 _COL_SWAP = 4  # swap columns i and j
-
-
-def _ignore(kind: int, i: int, j: int, q: int) -> None:
-    pass
 
 
 def _replay(ops, n: int, rows: bool, inverse: bool) -> IntMatrix:
@@ -223,7 +214,7 @@ def _replay(ops, n: int, rows: bool, inverse: bool) -> IntMatrix:
     operations; U and V^-1 take column operations, so their transposes
     are built with row operations and transposed once at the end."""
     add, swap = (_ROW_ADD, _ROW_SWAP) if rows else (_COL_ADD, _COL_SWAP)
-    m = _identity_lists(n)
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for kind, i, j, q in ops:
         if kind == add:
             if not inverse:
@@ -238,29 +229,24 @@ def _replay(ops, n: int, rows: bool, inverse: bool) -> IntMatrix:
     return IntMatrix(n, n, tuple(chain.from_iterable(m)))
 
 
-def _diagonalize(d: list[list[int]], record=_ignore) -> int:
+def _diagonalize(d: list[list[int]], ops: list) -> int:
     """Bring the list-of-rows matrix d into Smith normal form in place and
     return its rank.
 
     Pivots on an entry of minimal absolute value of the active lower-right
     block until it divides the whole block.  Rows and columns before the
     active block are zero outside the diagonal, so every operation touches
-    only the block.  Each elementary operation is reported to record, in
+    only the block.  Each elementary operation is appended to ops, in
     order, so a caller can mirror it onto transforms.
     """
     nr, nc = len(d), len(d[0]) if d else 0
+    record = ops.append
 
     def row_add(i: int, j: int, q: int) -> None:
         di, dj = d[i], d[j]
         for m in range(t, nc):
             di[m] += q * dj[m]
-        record(_ROW_ADD, i, j, q)
-
-    def col_add(i: int, j: int, q: int) -> None:
-        for m in range(t, nr):
-            dm = d[m]
-            dm[i] += q * dm[j]
-        record(_COL_ADD, i, j, q)
+        record((_ROW_ADD, i, j, q))
 
     t = 0
     limit = min(nr, nc)
@@ -279,12 +265,12 @@ def _diagonalize(d: list[list[int]], record=_ignore) -> int:
             break
         if pi != t:
             d[t], d[pi] = d[pi], d[t]
-            record(_ROW_SWAP, t, pi, 0)
+            record((_ROW_SWAP, t, pi, 0))
         if pj != t:
             for m in range(t, nr):
                 dm = d[m]
                 dm[t], dm[pj] = dm[pj], dm[t]
-            record(_COL_SWAP, t, pj, 0)
+            record((_COL_SWAP, t, pj, 0))
         dt = d[t]
         pivot = dt[t]
         for i in range(t + 1, nr):
@@ -292,7 +278,11 @@ def _diagonalize(d: list[list[int]], record=_ignore) -> int:
                 row_add(i, t, -(d[i][t] // pivot))
         for j in range(t + 1, nc):
             if dt[j]:
-                col_add(j, t, -(dt[j] // pivot))
+                q = -(dt[j] // pivot)
+                for m in range(t, nr):
+                    dm = d[m]
+                    dm[j] += q * dm[t]
+                record((_COL_ADD, j, t, q))
         if any(d[i][t] for i in range(t + 1, nr)) or any(dt[t + 1 :]):
             # leftovers are strictly smaller than the pivot; go again
             continue
@@ -308,7 +298,7 @@ def _diagonalize(d: list[list[int]], record=_ignore) -> int:
             continue
         if pivot < 0:
             dt[t] = -pivot
-            record(_ROW_NEG, t, t, 0)
+            record((_ROW_NEG, t, t, 0))
         t += 1
     return t
 
@@ -316,7 +306,7 @@ def _diagonalize(d: list[list[int]], record=_ignore) -> int:
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form A = U * D * V over Z.
 
-    Diagonalizes a copy of A with _diagonalize and records every
+    Diagonalizes a copy of A with _diagonalize, which records every
     elementary operation; the transforms are replayed from that record
     when first read (see SmithDecomposition).
 
@@ -326,11 +316,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """
     d = a.to_rows()
     ops: list[tuple[int, int, int, int]] = []
-
-    def record(kind: int, i: int, j: int, q: int) -> None:
-        ops.append((kind, i, j, q))
-
-    rank = _diagonalize(d, record)
+    rank = _diagonalize(d, ops)
     return SmithDecomposition(IntMatrix.from_rows(d, cols=a.cols), rank, ops)
 
 
@@ -358,7 +344,7 @@ class DivisibleGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "DivisibleGroup":
-        n = abs(int(n))
+        n = abs(n)
         return cls(0, (n,) if n > 1 else ())
 
     def order(self) -> int:
@@ -384,7 +370,7 @@ def qz_kernel(b: IntMatrix) -> DivisibleGroup:
     (Q/Z)^(cols - rank) + sum of Z/d_i over invariant factors d_i > 1.
     """
     d = b.to_rows()
-    rank = _diagonalize(d)
+    rank = _diagonalize(d, [])
     factors = tuple(d[i][i] for i in range(rank) if d[i][i] > 1)
     return DivisibleGroup(b.cols - rank, factors)
 

@@ -14,7 +14,12 @@ Shared sections:
       [topology] b2_X=23 rho_X=20 b2_S=2 rho_S=1
       [picard-degrees] 3 0
 
-Valuations accept nonnegative integers up to MAX_FIBRE_INDEX or "inf".
+Numbers, here and on the command line, are read by one reader per kind
+(read_valuation, read_nonnegative, read_integer): str.isdecimal() digits,
+'-' before an integer, and 'inf' or 'infinity' in any case for an
+infinite valuation; other text raises ValueError.  A value that gets
+added needs fewer digits than int() reads, so that a sum of two prints;
+more raise OverflowError.  [branch] valuations are at most MAX_FIBRE_INDEX.
 Polynomials use infix syntax over s and t with integer or ratio
 coefficients, explicit '*' between factors and '^' for powers; the
 exponent of each variable in a term is at most MAX_EXPONENT, and a
@@ -42,6 +47,9 @@ __all__ = [
     "FibrationDescription",
     "parse_description",
     "parse_polynomial",
+    "read_valuation",
+    "read_nonnegative",
+    "read_integer",
     "AXIS_BRANCH_NAMES",
     "MAX_FIBRE_INDEX",
     "MAX_EXPONENT",
@@ -123,6 +131,36 @@ class FibrationDescription:
     collisions: tuple[CollisionDecl, ...]
     topology: tuple[int, int, int, int] | None
     picard_degrees: tuple[int, ...] | None
+
+
+def _digit_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+
+
+def read_nonnegative(text: str) -> int:
+    """A [topology] value, a corank argument or a command-line vdelta."""
+    if not text.isdecimal():
+        raise ValueError(f"expected a nonnegative integer, got {text!r}")
+    limit = _digit_limit()
+    if limit and len(text) >= limit:
+        raise OverflowError(f"of {len(text)} characters exceeds the limit of {limit - 1} digits")
+    return int(text)
+
+
+def read_valuation(text: str):
+    """A valuation of a or b (in a file, of the discriminant too)."""
+    if text.lower() in ("inf", "infinity"):
+        return INFINITY
+    if not text.isdecimal():
+        raise ValueError(f"expected a nonnegative integer or 'inf', got {text!r}")
+    return read_nonnegative(text)
+
+
+def read_integer(text: str) -> int:
+    """A [picard-degrees] entry or a delta-gcd argument, never added."""
+    if not (text[1:] if text[:1] == "-" else text).isdecimal():
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 # Each factor is one match: INT [/ INT] or s|t [^ INT], then the operator
@@ -250,14 +288,6 @@ def _read_keys(payload: str, keys: tuple[str, ...], section: str, lineno: int, c
     return Diagnostic(lineno, col + 1, f"[{section}] needs {', '.join(keys)} ({what})")
 
 
-def _parse_valuation(text: str):
-    if text.lower() in ("inf", "infinity"):
-        return INFINITY
-    if text.isdecimal():
-        return int(text)
-    return None
-
-
 def _integral(a: poly.Poly, b: poly.Poly, line: int) -> WeierstrassPolyModel:
     """(lam^4 a, lam^6 b) with lam the lcm of all denominators: an isomorphic
     model with int coefficients, the same valuations and Delta * lam^12,
@@ -292,11 +322,6 @@ def _integral(a: poly.Poly, b: poly.Poly, line: int) -> WeierstrassPolyModel:
     return WeierstrassPolyModel(*integral)
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
-
-
 def parse_description(text: str) -> FibrationDescription:
     """Parse and validate a description file.
 
@@ -313,11 +338,11 @@ def parse_description(text: str) -> FibrationDescription:
     degrees: tuple[int, ...] | None = None
     # int() refuses literals longer than this (0: no limit); the
     # lookbehind tries each run of digits once, so the scan stays linear
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     too_long = re.compile(rf"(?<!\d)\d{{{limit + 1},}}") if limit else None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        line = raw.partition("#")[0]
         if not line.strip():
             continue
         long_literal = too_long and too_long.search(line)
@@ -345,12 +370,18 @@ def parse_description(text: str) -> FibrationDescription:
             if isinstance(vals, Diagnostic):
                 syntax.append(vals)
                 continue
-            parsed = {k: _parse_valuation(kv.group(2)) for k, kv in vals.items()}
-            bad = [k for k, v in parsed.items() if v is None]
+            parsed, bad = {}, None  # vdelta = inf is refused below
+            for k, kv in vals.items():
+                try:
+                    parsed[k] = read_valuation(kv.group(2))
+                except ValueError:
+                    bad = bad or kv
+                except OverflowError:  # more digits than any fibre index
+                    parsed[k] = MAX_FIBRE_INDEX + 1
             if bad:
                 syntax.append(Diagnostic(
                     lineno, payload_col + 1,
-                    f"{bad[0]} must be a nonnegative integer or inf, got {vals[bad[0]].group(2)!r}",
+                    f"{bad.group(1)} must be a nonnegative integer or inf, got {bad.group(2)!r}",
                 ))
                 continue
             if parsed["vdelta"] == INFINITY:
@@ -402,17 +433,19 @@ def parse_description(text: str) -> FibrationDescription:
             if isinstance(vals, Diagnostic):
                 syntax.append(vals)
                 continue
-            if not all(kv.group(2).isdecimal() for kv in vals.values()):
+            values, long_value = {}, None
+            try:
+                for k, kv in vals.items():
+                    try:
+                        values[k] = read_nonnegative(kv.group(2))
+                    except OverflowError:
+                        long_value = long_value or kv
+            except ValueError:
                 syntax.append(Diagnostic(
                     lineno, payload_col + 1,
                     "[topology] needs b2_X, rho_X, b2_S, rho_S as nonnegative integers",
                 ))
                 continue
-            # the corank adds two of these values, so it stays within the
-            # limit and the report can print it
-            long_value = limit and next(
-                (kv for kv in vals.values() if len(kv.group(2)) >= limit), None
-            )
             if long_value:
                 syntax.append(Diagnostic(
                     lineno, payload_col + long_value.start() + 1,
@@ -423,17 +456,20 @@ def parse_description(text: str) -> FibrationDescription:
             if topology is not None:
                 syntax.append(Diagnostic(lineno, len(indent) + 2, "only one [topology] line is allowed"))
                 continue
-            topology = tuple(int(vals[k].group(2)) for k in keys)
+            topology = tuple(values[k] for k in keys)
 
         elif section == "picard-degrees":
-            parts = payload.split()
-            if not parts or not all(re.fullmatch(r"-?\d+", p) for p in parts):
+            try:
+                values = tuple(map(read_integer, payload.split()))
+            except ValueError:
+                values = ()
+            if not values:
                 syntax.append(Diagnostic(lineno, payload_col + 1, "[picard-degrees] needs integers"))
                 continue
             if degrees is not None:
                 syntax.append(Diagnostic(lineno, len(indent) + 2, "only one [picard-degrees] line is allowed"))
                 continue
-            degrees = tuple(int(p) for p in parts)
+            degrees = values
 
         else:
             syntax.append(Diagnostic(lineno, len(indent) + 2, f"unknown section [{section}]"))

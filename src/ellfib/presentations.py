@@ -272,20 +272,14 @@ def presentation_from_dict(data: dict) -> tuple[tuple[str, str], CollisionPresen
 
 
 def load_presentation_file(path) -> tuple[tuple[str, str], CollisionPresentation]:
-    """Read one presentation file; bad presentation data raises
-    PresentationInconsistent naming the file, and JSON nested deeper than
-    the decoder can recurse raises ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read one presentation file; every fault of its content names the
+    file, as naming_input makes it."""
+    with naming_input(path):
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nesting too deep to decode") from None
-    if not isinstance(data, dict):
-        raise PresentationInconsistent(f"expected a JSON object in {path}")
-    try:
+        if not isinstance(data, dict):
+            raise PresentationInconsistent("expected a JSON object")
         return presentation_from_dict(data)
-    except PresentationInconsistent as exc:
-        raise PresentationInconsistent(f"{exc} in {path}") from exc
 
 
 def load_presentations(dirpath=None) -> dict[frozenset[str], CollisionPresentation]:
@@ -297,8 +291,6 @@ def load_presentations(dirpath=None) -> dict[frozenset[str], CollisionPresentati
     if dirpath:
         for name in sorted(os.listdir(dirpath)):
             if name.endswith(".json"):
-                path = os.path.join(dirpath, name)
-                with naming_input(path):
-                    pair, pres = load_presentation_file(path)
+                pair, pres = load_presentation_file(os.path.join(dirpath, name))
                 found[frozenset(pair)] = pres
     return found

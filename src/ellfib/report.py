@@ -186,12 +186,9 @@ def _collision_json(
     subject = f"collision {c.left}+{c.right}"
     explicit = None
     if c.presentation is not None:
-        path = c.presentation
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
         try:
-            _, explicit = load_presentation_file(path)
-        except (OSError, ValueError, FibrationError) as exc:
+            _, explicit = load_presentation_file(os.path.join(base_dir or "", c.presentation))
+        except (OSError, FibrationError) as exc:
             _error(errors, subject, exc)
             return None, []
 

@@ -1,14 +1,17 @@
 """End-to-end tests of the command line interface (in-process)."""
 
+import contextlib
 import io
 import json
 import pathlib
+import random
 import sys
 
 import pytest
 
 from ellfib import collisions
 from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, build_arg_parser, main
+from ellfib.errors import ParseError, ValidationError
 from ellfib.kodaira import MAX_LATTICE_COMPONENTS
 from ellfib.parser import (
     MAX_DENOMINATOR_DIGITS,
@@ -16,8 +19,10 @@ from ellfib.parser import (
     MAX_FIBRE_INDEX,
     MAX_MODEL_BITS,
     MAX_TERMS,
+    parse_description,
 )
 from ellfib.presentations import MAX_PRESENTATION_ENTRY, MAX_PRESENTATION_SIZE
+from ellfib.weierstrass import INFINITY
 
 from support import power_of_two
 
@@ -215,6 +220,66 @@ def test_delta_gcd_command(capsys):
     rc, _ = run("delta-gcd", "0", "0")
     assert rc == EXIT_ENGINE
     assert "AllZero" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one grammar for numbers on the command line and in description files
+
+
+# text that int() reads and the file format does not, words for
+# infinity, and numbers at Python's limit on integer strings
+_NUMBER_ATOMS = (
+    "+5", "1_0", "-0", "\u0663", "\u00b2", "0x10", "1e3", "nan", "inf", "INF", "Infinity",
+    "", "7", "9" * 4299, "9" * 4300, "9" * 4301,
+)
+_BRANCH = "[branch A] va=0 vb=0 vdelta=1\n"
+# role: (description file with the text in that role, its value there,
+# argument list with the text in that role, its value there)
+_ROLES = {
+    "va": (lambda x: f"[branch A] va={x} vb=0 vdelta=1\n", lambda d: d.branches[0].va,
+           lambda x: ["classify", "--", x, "0", "1"], lambda a: a.va),
+    "vdelta": (lambda x: f"[branch A] va=0 vb=0 vdelta={x}\n", lambda d: d.branches[0].vdelta,
+               lambda x: ["classify", "--", "0", "0", x], lambda a: a.vdelta),
+    "nonnegative": (lambda x: f"{_BRANCH}[topology] b2_X={x} rho_X=0 b2_S=0 rho_S=0\n",
+                    lambda d: d.topology[0],
+                    lambda x: ["corank", "--", x, "0", "0", "0"], lambda a: a.b2_X),
+    "integer": (lambda x: f"{_BRANCH}[picard-degrees] {x}\n", lambda d: d.picard_degrees[0],
+                lambda x: ["delta-gcd", "--", x], lambda a: a.degrees[0]),
+}
+
+
+def _argument_value(argv, read):
+    """read(parsed arguments), or None when the parser refuses argv."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return read(build_arg_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _file_value(text, read):
+    """read(parsed description), or None when the parser refuses text."""
+    try:
+        return read(parse_description(text))
+    except (ParseError, ValidationError):
+        return None
+
+
+def test_command_line_reads_numbers_as_description_files_do():
+    # each text is accepted as an argument exactly when a description
+    # file accepts it in the same role, with the same value; a file's
+    # [branch] valuations are also at most MAX_FIBRE_INDEX
+    rng = random.Random(20261021)
+    texts = set(_NUMBER_ATOMS)
+    while len(texts) < 120:
+        texts.add("".join(rng.choice(_NUMBER_ATOMS) for _ in range(rng.randint(2, 3))))
+    for role, (line, in_file, argv, in_args) in _ROLES.items():
+        for text in sorted(texts):
+            value = _argument_value(argv(text), in_args)
+            if role in ("va", "vdelta") and value not in (None, INFINITY) and value > MAX_FIBRE_INDEX:
+                value = None
+            assert _file_value(line(text), in_file) == value, (role, text[:20], len(text))
+        assert _argument_value(argv(" 7"), in_args) is None, role
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +614,39 @@ def test_report_deeply_nested_attached_presentation(tmp_path, capsys):
     assert parsed["collisions"][0]["status"] == "error"
     assert parsed["errors"] == [{
         "subject": "collision N2+D0",
-        "kind": "ValueError",
-        "message": "JSON nesting too deep to decode",
+        "kind": "ParseError",
+        "message": f"JSON nesting too deep to decode in {tmp_path / 'deep.json'}",
     }]
+
+
+def test_report_attached_presentation_faults_name_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    doc = tmp_path / "attached.fib"
+    doc.write_text(
+        "[branch N2] va=0 vb=0 vdelta=2\n"
+        "[branch D0] va=2 vb=3 vdelta=6\n"
+        "[collision] N2 D0 presentation=bad.json\n",
+        encoding="utf-8",
+    )
+    big = _overlong_literal()
+    _overlong_presentation(bad, big)
+    overlong = bad.read_bytes()
+    for data, message in (
+        (b'{"pair": [1, }', f"line 1, col 14: Expecting value in {bad}"),
+        (b'{"pair": ["I2", "\xff"]}', f"line 1, col 18: not valid UTF-8 in {bad}"),
+        (overlong, None),
+    ):
+        bad.write_bytes(data)
+        rc, out = run("report", str(doc), "--format", "json")
+        assert rc == EXIT_ENGINE
+        assert capsys.readouterr().err == ""
+        (error,) = json.loads(out)["errors"]
+        assert (error["subject"], error["kind"]) == ("collision N2+D0", "ParseError")
+        if message is None:  # int()'s own words for a literal past its limit
+            assert f"{len(big)} digits" in error["message"]
+            assert error["message"].endswith(f" in {bad}")
+        else:
+            assert error["message"] == message
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from math import gcd
 import pytest
 
 from ellfib import exact_linalg, kodaira
+from ellfib.collisions import delta_eta_gcd
 from ellfib.errors import CommutationFailure, DimensionMismatch
 from ellfib.exact_linalg import (
     DivisibleGroup,
@@ -115,6 +116,24 @@ def test_matrix_shape_validation():
         IntMatrix(1, 1, (Fraction(1, 2),))
     with pytest.raises(DimensionMismatch):
         IntMatrix.from_rows([[1, 2], [3]])
+
+
+def test_constructors_refuse_entries_that_are_not_int():
+    # no constructor truncates: a float, a Fraction or a bool is refused,
+    # not stored or read as the int it rounds to
+    for build in (
+        lambda: IntMatrix.from_rows([[2.9]]),
+        lambda: IntMatrix.from_rows([[True]]),
+        lambda: IntMatrix.column([2.7]),
+        lambda: IntMatrix.diagonal([Fraction(3, 2)]),
+        lambda: IntMatrix(1, 1, (False,)),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(ValueError):
+        DivisibleGroup.cyclic(2.9)
+    with pytest.raises(TypeError):
+        delta_eta_gcd([4.5, 6])
 
 
 def test_matrix_operations():
