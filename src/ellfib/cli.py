@@ -128,22 +128,20 @@ def _cmd_reduce(args, out) -> int:
 
 
 def _cmd_sha_local(args, out) -> int:
-    _, pres = load_presentation_file(args.presentation)
+    pair, pres = load_presentation_file(args.presentation)
     group, witnesses = local_sha_with_witnesses(pres)
     print(f"local sha: {group}", file=out)
     for w in witnesses:
         print(f"generator witness: ({', '.join(str(x) for x in w)})", file=out)
-    pair = pres.type_pair()
-    if len(pair) == 2:
-        lt, rt = KodairaType.parse(pair[0]), KodairaType.parse(pair[1])
-        try:
-            expected = expected_local_sha(lt, rt)
-            verdict = multiple_fibre_verdict(lt, rt)
-            agree = "agree" if expected == group else "DISAGREE"
-            print(f"registry: {expected} ({agree})", file=out)
-            print(f"verdict: {verdict}", file=out)
-        except FibrationError:
-            pass
+    lt, rt = (KodairaType.parse(t) for t in pair)
+    try:
+        expected = expected_local_sha(lt, rt)
+        verdict = multiple_fibre_verdict(lt, rt)
+        agree = "agree" if expected == group else "DISAGREE"
+        print(f"registry: {expected} ({agree})", file=out)
+        print(f"verdict: {verdict}", file=out)
+    except FibrationError:
+        pass
     return EXIT_OK
 
 

@@ -133,6 +133,9 @@ class FibrationDescription:
     picard_degrees: tuple[int, ...] | None
 
 
+_LONG_LITERAL = "integer literal of {} digits exceeds the limit of {}"
+
+
 def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
 
@@ -158,8 +161,12 @@ def read_valuation(text: str):
 
 def read_integer(text: str) -> int:
     """A [picard-degrees] entry or a delta-gcd argument, never added."""
-    if not (text[1:] if text[:1] == "-" else text).isdecimal():
+    digits = text[1:] if text[:1] == "-" else text
+    if not digits.isdecimal():
         raise ValueError(f"expected an integer, got {text!r}")
+    limit = _digit_limit()
+    if limit and len(digits) > limit:
+        raise ValueError(_LONG_LITERAL.format(len(digits), limit))
     return int(text)
 
 
@@ -257,24 +264,35 @@ def parse_polynomial(text: str, line: int = 0, col_offset: int = 0) -> poly.Poly
     raise ParseError([Diagnostic(line, col_offset + at + 1, message)])
 
 
-_SECTION = re.compile(r"^(\s*)\[([A-Za-z][A-Za-z0-9-]*)(?:\s+([^\]]*?))?\s*\](\s*)(.*)$")
-_KEYVAL = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)")
+_SECTION = re.compile(
+    r"^\s*\[(?P<section>[A-Za-z][A-Za-z0-9-]*)(?:\s+(?P<name>[^\]]*?))?\s*\]\s*(?P<payload>.*)$"
+)
+# key = value; after whitespace, text that itself reads as 'key =' is the
+# next pair, so 'va= vb=0' gives va an empty value
+_KEYVAL = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?!(?<=\s)[A-Za-z_][A-Za-z0-9_]*\s*=)(\S*)")
 _WEIERSTRASS = re.compile(r"^\s*a\s*=\s*(.+?)\s+b\s*=\s*(.+?)\s*$")
+_TOPOLOGY_KEYS = ("b2_X", "rho_X", "b2_S", "rho_S")
 
 
-def _read_keys(payload: str, keys: tuple[str, ...], section: str, lineno: int, col: int):
-    """The key=value pairs of a [branch] or [topology] payload that starts
-    at 0-based column col, as {key: match} with each key of keys once, or
-    the Diagnostic for leftover text, a key missing, an unexpected key or
-    a key given twice."""
+class _Fault(Exception):
+    """The one syntax fault of a description line, with args (0-based
+    column, message); parse_description makes it the line's Diagnostic."""
+
+
+def _read_keys(m: re.Match, keys: tuple[str, ...]) -> dict[str, re.Match]:
+    """The key=value pairs of a [branch] or [topology] line, as
+    {key: match} in the order written with each key of keys once, or a
+    _Fault for leftover text, a key missing, an unexpected key, a key
+    given twice or an empty value."""
+    payload, col, section = m["payload"], m.start("payload"), m["section"]
     found = {}
     repeated = False
     for kv in _KEYVAL.finditer(payload):
-        repeated = repeated or kv.group(1) in found
-        found.setdefault(kv.group(1), kv)
+        repeated = repeated or kv[1] in found
+        found.setdefault(kv[1], kv)
     leftovers = _KEYVAL.sub("", payload).strip()
     if leftovers:
-        return Diagnostic(lineno, col + 1, f"unexpected text {leftovers!r} in [{section}]")
+        raise _Fault(col, f"unexpected text {leftovers!r} in [{section}]")
     missing = [k for k in keys if k not in found]
     extra = [k for k in found if k not in keys]
     if missing:
@@ -284,8 +302,96 @@ def _read_keys(payload: str, keys: tuple[str, ...], section: str, lineno: int, c
     elif repeated:
         what = "duplicate keys"
     else:
+        for key, kv in found.items():
+            if not kv[2]:
+                raise _Fault(col + kv.start(), f"{key} has an empty value")
         return found
-    return Diagnostic(lineno, col + 1, f"[{section}] needs {', '.join(keys)} ({what})")
+    raise _Fault(col, f"[{section}] needs {', '.join(keys)} ({what})")
+
+
+def _branch(m: re.Match, lineno: int) -> BranchDecl:
+    if not m["name"]:
+        raise _Fault(m.start("section"), "[branch] needs a name")
+    col = m.start("payload")
+    found = _read_keys(m, ("va", "vb", "vdelta"))
+    values = {}
+    for key, kv in found.items():
+        try:
+            values[key] = read_valuation(kv[2])
+        except ValueError:
+            raise _Fault(col, f"{key} must be a nonnegative integer or inf, got {kv[2]!r}")
+        except OverflowError:  # more digits than any fibre index
+            values[key] = MAX_FIBRE_INDEX + 1
+    if values["vdelta"] == INFINITY:
+        raise _Fault(col, "vdelta cannot be inf")
+    for key, v in values.items():
+        if v != INFINITY and v > MAX_FIBRE_INDEX:
+            raise _Fault(col + found[key].start(),
+                         f"{key} exceeds the limit of {MAX_FIBRE_INDEX} (MAX_FIBRE_INDEX)")
+    return BranchDecl(m["name"].strip(), values["va"], values["vb"], values["vdelta"], lineno)
+
+
+def _weierstrass(m: re.Match, lineno: int) -> tuple[int, poly.Poly, poly.Poly]:
+    col = m.start("payload")
+    wm = _WEIERSTRASS.match(m["payload"])
+    if not wm:
+        raise _Fault(col, "[weierstrass] needs 'a = POLY b = POLY'")
+    return (lineno,
+            parse_polynomial(wm[1], lineno, col + wm.start(1)),
+            parse_polynomial(wm[2], lineno, col + wm.start(2)))
+
+
+def _collision(m: re.Match, lineno: int) -> CollisionDecl:
+    parts = m["payload"].split()
+    pres = None
+    if parts and parts[-1].startswith("presentation="):
+        pres = parts.pop().split("=", 1)[1]
+    if len(parts) != 2:
+        raise _Fault(m.start("payload"),
+                     "[collision] needs two branch names and an optional presentation=FILE")
+    return CollisionDecl(parts[0], parts[1], pres, lineno)
+
+
+def _topology(m: re.Match, lineno: int) -> tuple[int, int, int, int]:
+    col = m.start("payload")
+    found = _read_keys(m, _TOPOLOGY_KEYS)
+    values, long_value = {}, None
+    try:
+        for key, kv in found.items():
+            try:
+                values[key] = read_nonnegative(kv[2])
+            except OverflowError:
+                long_value = long_value or kv
+    except ValueError:
+        raise _Fault(col, "[topology] needs b2_X, rho_X, b2_S, rho_S as nonnegative integers")
+    if long_value:
+        raise _Fault(col + long_value.start(),
+                     f"{long_value[1]} of {len(long_value[2])} digits exceeds "
+                     f"the limit of {_digit_limit() - 1} digits for [topology] values")
+    return tuple(values[k] for k in _TOPOLOGY_KEYS)
+
+
+def _picard_degrees(m: re.Match, lineno: int) -> tuple[int, ...]:
+    try:
+        values = tuple(map(read_integer, m["payload"].split()))
+    except ValueError:
+        values = ()
+    if not values:
+        raise _Fault(m.start("payload"), "[picard-degrees] needs integers")
+    return values
+
+
+# section -> (reader, what a second one is called, or None where a file
+# may hold any number).  A reader takes a line's _SECTION match and
+# number and returns the section's value, or raises _Fault or
+# parse_polynomial's ParseError.
+_SECTIONS = {
+    "branch": (_branch, None),
+    "weierstrass": (_weierstrass, "model"),
+    "collision": (_collision, None),
+    "topology": (_topology, "line"),
+    "picard-degrees": (_picard_degrees, "line"),
+}
 
 
 def _integral(a: poly.Poly, b: poly.Poly, line: int) -> WeierstrassPolyModel:
@@ -330,12 +436,7 @@ def parse_description(text: str) -> FibrationDescription:
     semantic ones.
     """
     syntax: list[Diagnostic] = []
-    branches: list[BranchDecl] = []
-    collisions: list[CollisionDecl] = []
-    coeffs: tuple[poly.Poly, poly.Poly] | None = None
-    model_line = 0
-    topology: tuple[int, int, int, int] | None = None
-    degrees: tuple[int, ...] | None = None
+    found: dict[str, list] = {section: [] for section in _SECTIONS}
     # int() refuses literals longer than this (0: no limit); the
     # lookbehind tries each run of digits once, so the scan stays linear
     limit = _digit_limit()
@@ -345,144 +446,42 @@ def parse_description(text: str) -> FibrationDescription:
         line = raw.partition("#")[0]
         if not line.strip():
             continue
-        long_literal = too_long and too_long.search(line)
-        if long_literal:
-            digits = long_literal.end() - long_literal.start()
-            syntax.append(Diagnostic(
-                lineno, long_literal.start() + 1,
-                f"integer literal of {digits} digits exceeds the limit of {limit}",
-            ))
-            continue
-        m = _SECTION.match(line)
-        if not m:
-            col = len(line) - len(line.lstrip()) + 1
-            syntax.append(Diagnostic(lineno, col, "expected a [section] header"))
-            continue
-        indent, section, header_arg, _gap, payload = m.groups()
-        payload_col = m.start(5)  # 0-based column where the payload begins
-
-        if section == "branch":
-            if not header_arg:
-                syntax.append(Diagnostic(lineno, len(indent) + 2, "[branch] needs a name"))
-                continue
-            name = header_arg.strip()
-            vals = _read_keys(payload, ("va", "vb", "vdelta"), section, lineno, payload_col)
-            if isinstance(vals, Diagnostic):
-                syntax.append(vals)
-                continue
-            parsed, bad = {}, None  # vdelta = inf is refused below
-            for k, kv in vals.items():
-                try:
-                    parsed[k] = read_valuation(kv.group(2))
-                except ValueError:
-                    bad = bad or kv
-                except OverflowError:  # more digits than any fibre index
-                    parsed[k] = MAX_FIBRE_INDEX + 1
-            if bad:
-                syntax.append(Diagnostic(
-                    lineno, payload_col + 1,
-                    f"{bad.group(1)} must be a nonnegative integer or inf, got {bad.group(2)!r}",
-                ))
-                continue
-            if parsed["vdelta"] == INFINITY:
-                syntax.append(Diagnostic(lineno, payload_col + 1, "vdelta cannot be inf"))
-                continue
-            huge = [k for k, v in parsed.items() if v != INFINITY and v > MAX_FIBRE_INDEX]
-            if huge:
-                syntax.append(Diagnostic(
-                    lineno, payload_col + vals[huge[0]].start() + 1,
-                    f"{huge[0]} exceeds the limit of {MAX_FIBRE_INDEX} (MAX_FIBRE_INDEX)",
-                ))
-                continue
-            branches.append(BranchDecl(name, parsed["va"], parsed["vb"], parsed["vdelta"], lineno))
-
-        elif section == "weierstrass":
-            wm = _WEIERSTRASS.match(payload)
-            if not wm:
-                syntax.append(Diagnostic(lineno, payload_col + 1, "[weierstrass] needs 'a = POLY b = POLY'"))
-                continue
-            try:
-                a = parse_polynomial(wm.group(1), lineno, payload_col + wm.start(1))
-                b = parse_polynomial(wm.group(2), lineno, payload_col + wm.start(2))
-            except ParseError as exc:
-                syntax.extend(exc.diagnostics)
-                continue
-            if coeffs is not None:
-                syntax.append(Diagnostic(lineno, len(indent) + 2, "only one [weierstrass] model is allowed"))
-                continue
-            coeffs = (a, b)
-            model_line = lineno
-
-        elif section == "collision":
-            parts = payload.split()
-            pres = None
-            if parts and parts[-1].startswith("presentation="):
-                pres = parts[-1].split("=", 1)[1]
-                parts = parts[:-1]
-            if len(parts) != 2:
-                syntax.append(Diagnostic(
-                    lineno, payload_col + 1,
-                    "[collision] needs two branch names and an optional presentation=FILE",
-                ))
-                continue
-            collisions.append(CollisionDecl(parts[0], parts[1], pres, lineno))
-
-        elif section == "topology":
-            keys = ("b2_X", "rho_X", "b2_S", "rho_S")
-            vals = _read_keys(payload, keys, section, lineno, payload_col)
-            if isinstance(vals, Diagnostic):
-                syntax.append(vals)
-                continue
-            values, long_value = {}, None
-            try:
-                for k, kv in vals.items():
-                    try:
-                        values[k] = read_nonnegative(kv.group(2))
-                    except OverflowError:
-                        long_value = long_value or kv
-            except ValueError:
-                syntax.append(Diagnostic(
-                    lineno, payload_col + 1,
-                    "[topology] needs b2_X, rho_X, b2_S, rho_S as nonnegative integers",
-                ))
-                continue
-            if long_value:
-                syntax.append(Diagnostic(
-                    lineno, payload_col + long_value.start() + 1,
-                    f"{long_value.group(1)} of {len(long_value.group(2))} digits exceeds "
-                    f"the limit of {limit - 1} digits for [topology] values",
-                ))
-                continue
-            if topology is not None:
-                syntax.append(Diagnostic(lineno, len(indent) + 2, "only one [topology] line is allowed"))
-                continue
-            topology = tuple(values[k] for k in keys)
-
-        elif section == "picard-degrees":
-            try:
-                values = tuple(map(read_integer, payload.split()))
-            except ValueError:
-                values = ()
-            if not values:
-                syntax.append(Diagnostic(lineno, payload_col + 1, "[picard-degrees] needs integers"))
-                continue
-            if degrees is not None:
-                syntax.append(Diagnostic(lineno, len(indent) + 2, "only one [picard-degrees] line is allowed"))
-                continue
-            degrees = values
-
-        else:
-            syntax.append(Diagnostic(lineno, len(indent) + 2, f"unknown section [{section}]"))
+        try:
+            long_literal = too_long and too_long.search(line)
+            if long_literal:
+                raise _Fault(long_literal.start(), _LONG_LITERAL.format(len(long_literal[0]), limit))
+            m = _SECTION.match(line)
+            if not m:
+                raise _Fault(len(line) - len(line.lstrip()), "expected a [section] header")
+            section = m["section"]
+            entry = _SECTIONS.get(section)
+            if entry is None:
+                raise _Fault(m.start("section"), f"unknown section [{section}]")
+            read, again = entry
+            value = read(m, lineno)
+            if again and found[section]:
+                raise _Fault(m.start("section"), f"only one [{section}] {again} is allowed")
+            found[section].append(value)
+        except _Fault as fault:
+            column, message = fault.args
+            syntax.append(Diagnostic(lineno, column + 1, message))
+        except ParseError as exc:
+            syntax.extend(exc.diagnostics)
 
     if syntax:
         raise ParseError(syntax)
 
+    branches, collisions = found["branch"], found["collision"]
+    model_line, *coeffs = found["weierstrass"][0] if found["weierstrass"] else (0,)
+    topology = found["topology"][0] if found["topology"] else None
+    degrees = found["picard-degrees"][0] if found["picard-degrees"] else None
+
     semantic: list[Diagnostic] = []
-    if coeffs is not None and branches:
+    if coeffs and branches:
         semantic.append(Diagnostic(
             model_line, 1, "[weierstrass] and [branch] modes cannot be mixed"
         ))
-    if coeffs is None and not branches:
+    if not coeffs and not branches:
         semantic.append(Diagnostic(1, 1, "no branches declared: need [branch] lines or a [weierstrass] model"))
 
     seen: dict[str, int] = {}
@@ -494,7 +493,7 @@ def parse_description(text: str) -> FibrationDescription:
             semantic.append(Diagnostic(b.line, 1, f"branch name {b.name!r} is reserved for polynomial mode"))
 
     model: WeierstrassPolyModel | None = None
-    if coeffs is not None:
+    if coeffs:
         try:
             model = _integral(*coeffs, model_line)
         except ValidationError as exc:
@@ -508,7 +507,7 @@ def parse_description(text: str) -> FibrationDescription:
     for c in collisions:
         for side in (c.left, c.right):
             if side not in declared:
-                hint = " (polynomial mode branches are 's-axis' and 't-axis')" if coeffs is not None else ""
+                hint = " (polynomial mode branches are 's-axis' and 't-axis')" if coeffs else ""
                 semantic.append(Diagnostic(
                     c.line, 1, f"collision references undeclared branch {side!r}{hint}"
                 ))

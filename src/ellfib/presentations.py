@@ -77,9 +77,10 @@ class DivisorRecord:
             raise PresentationInconsistent("incidence entries must be >= 0")
 
 
-def _check_fibre_type(text: str) -> None:
+def _fibre_type(text: str) -> str:
+    """text's Kodaira type, spelled as str(KodairaType) writes it."""
     try:
-        KodairaType.parse(text)
+        return str(KodairaType.parse(text))
     except ValueError as exc:
         raise PresentationInconsistent(str(exc)) from exc
 
@@ -90,7 +91,7 @@ class BranchPresentation:
     divisors: tuple[DivisorRecord, ...]
 
     def __post_init__(self):
-        _check_fibre_type(self.fibre_type)
+        _fibre_type(self.fibre_type)
         if not self.divisors:
             raise PresentationInconsistent("branch needs at least one divisor")
 
@@ -128,9 +129,6 @@ class CollisionPresentation:
                     f"branch {br.fibre_type}: divisors sweep out {tuple(total)} "
                     f"but the central fibre is {self.central_multiplicities}"
                 )
-
-    def type_pair(self) -> tuple[str, ...]:
-        return tuple(br.fibre_type for br in self.branches)
 
     @property
     def divisor_count(self) -> int:
@@ -233,9 +231,11 @@ def _json_str(value, field: str) -> str:
 
 def presentation_from_dict(data: dict) -> tuple[tuple[str, str], CollisionPresentation]:
     """Build a presentation from parsed JSON; see the README for the file
-    layout.  Returns (type pair, presentation)."""
+    layout.  Returns (type pair, presentation), every type in canonical
+    spelling; each branch is of a type of the pair, no two of the same
+    pair entry."""
     try:
-        pair = tuple(_json_str(x, "pair entry") for x in data["pair"])
+        pair = tuple(_fibre_type(_json_str(x, "pair entry")) for x in data["pair"])
         central_data, branch_data = data["central_multiplicities"], data["branches"]
         divisor_count = sum(len(br["divisors"]) for br in branch_data)
         if max(len(central_data), divisor_count) > MAX_PRESENTATION_SIZE:
@@ -255,20 +255,17 @@ def presentation_from_dict(data: dict) -> tuple[tuple[str, str], CollisionPresen
                 )
                 for dv in br["divisors"]
             )
-            branches.append(BranchPresentation(_json_str(br["fibre_type"], "fibre_type"), divisors))
+            fibre_type = _fibre_type(_json_str(br["fibre_type"], "fibre_type"))
+            branches.append(BranchPresentation(fibre_type, divisors))
     except (KeyError, TypeError, ValueError) as exc:
         raise PresentationInconsistent(f"malformed presentation data: {exc}") from exc
     if len(pair) != 2:
         raise PresentationInconsistent("pair must list exactly two fibre types")
-    for ft in pair:
-        _check_fibre_type(ft)
     p = CollisionPresentation(central, tuple(branches))
-    declared = p.type_pair()
-    if len(declared) == 2 and set(declared) != set(pair):
-        raise PresentationInconsistent(
-            f"pair {pair} does not match branch types {declared}"
-        )
-    return (pair[0], pair[1]), p
+    types = tuple(br.fibre_type for br in p.branches)
+    if any(types.count(t) > pair.count(t) for t in types):
+        raise PresentationInconsistent(f"pair {pair} does not match branch types {types}")
+    return pair, p
 
 
 def load_presentation_file(path) -> tuple[tuple[str, str], CollisionPresentation]:

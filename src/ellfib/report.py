@@ -110,26 +110,26 @@ def _branch_json(name: str, profile: ValuationProfile) -> tuple[dict, BranchGerm
 
 def _presentation_for_leaf(
     leaf: BlowupNode,
-    explicit: CollisionPresentation | None,
+    explicit: tuple[tuple[str, str], CollisionPresentation] | None,
     explicit_name: str | None,
     store: dict[frozenset[str], CollisionPresentation],
 ) -> tuple[CollisionPresentation | None, str | None]:
     lt, rt = (str(t) for t in leaf.type_pair())
     if explicit is not None and leaf.path == "":
-        declared = set(explicit.type_pair())
-        if declared and declared != {lt, rt}:
+        pair, pres = explicit
+        if set(pair) != {lt, rt}:
             raise PresentationInconsistent(
-                f"attached presentation describes {sorted(declared)} but the "
+                f"attached presentation describes {sorted(set(pair))} but the "
                 f"collision is {lt} + {rt}"
             )
-        return explicit, explicit_name
+        return pres, explicit_name
     found = store.get(frozenset((lt, rt)))
     return found, None if found is None else "registry"
 
 
 def _leaf_json(
     leaf: BlowupNode,
-    explicit: CollisionPresentation | None,
+    explicit: tuple[tuple[str, str], CollisionPresentation] | None,
     explicit_name: str | None,
     store: dict[frozenset[str], CollisionPresentation],
     errors: list[dict],
@@ -187,7 +187,7 @@ def _collision_json(
     explicit = None
     if c.presentation is not None:
         try:
-            _, explicit = load_presentation_file(os.path.join(base_dir or "", c.presentation))
+            explicit = load_presentation_file(os.path.join(base_dir or "", c.presentation))
         except (OSError, FibrationError) as exc:
             _error(errors, subject, exc)
             return None, []

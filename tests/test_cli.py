@@ -167,14 +167,23 @@ def test_valuations_too_long_to_print(capsys):
 # group commands
 
 
-def test_sha_local_command():
-    rc, out = run("sha-local", str(CORPUS / "presentations" / "i2_i0star.json"))
+def test_sha_local_command(tmp_path):
+    shipped = CORPUS / "presentations" / "i2_i0star.json"
+    rc, out = run("sha-local", str(shipped))
     assert rc == EXIT_OK
     lines = out.splitlines()
     assert lines[0] == "local sha: Z/2"
     assert lines[1] == "generator witness: (0, 1/2, 0, 0, 0, 1/2, 1/2)"
     assert "registry: Z/2 (agree)" in lines
     assert "verdict: PossiblyObstinate(Z/2)" in lines
+    # a file of one branch is compared with the registry entry of its pair
+    data = json.loads(shipped.read_text(encoding="utf-8"))
+    data["branches"] = data["branches"][:1]
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(data), encoding="utf-8")
+    assert run("sha-local", str(one)) == (
+        EXIT_OK, "local sha: 0\nregistry: Z/2 (DISAGREE)\nverdict: PossiblyObstinate(Z/2)\n"
+    )
 
 
 def test_sha_punctured_command():
@@ -220,6 +229,16 @@ def test_delta_gcd_command(capsys):
     rc, _ = run("delta-gcd", "0", "0")
     assert rc == EXIT_ENGINE
     assert "AllZero" in capsys.readouterr().err
+    # a degree int() cannot read is refused in the parser's own words
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        with pytest.raises(SystemExit) as exc:
+            run("delta-gcd", "--", "-" + "7" * (limit + 1))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: ellfib delta-gcd")
+        assert err[-1] == ("ellfib delta-gcd: error: argument degrees: integer literal of "
+                           f"{limit + 1} digits exceeds the limit of {limit}")
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,7 @@ def test_parse_branch_mode():
 # two crossing branches
 [branch A] va=0 vb=0 vdelta=2
 [branch B] va=2 vb=3 vdelta=6   # trailing comment
+[branch C] va = 0 vb= 1 vdelta =2
 [collision] A B
 [topology] b2_X=23 rho_X=20 b2_S=2 rho_S=1
 [picard-degrees] 3 0
@@ -161,6 +162,7 @@ def test_parse_branch_mode():
     assert d.branches == (
         BranchDecl("A", 0, 0, 2),
         BranchDecl("B", 2, 3, 6),
+        BranchDecl("C", 0, 1, 2),
     )
     assert d.branches[0].line == 3
     assert d.collisions == (CollisionDecl("A", "B", None),)
@@ -199,7 +201,12 @@ def test_digits_int_cannot_read_are_diagnosed():
      (3, 4, "only one [topology] line is allowed")),
     (["[picard-degrees] 3 0", "[picard-degrees] 2"],
      (3, 2, "only one [picard-degrees] line is allowed")),
-], ids=["topology-leftover-text", "topology-repeated-key", "second-topology", "second-picard-degrees"])
+    # an empty value is not the next key=value pair
+    (["[branch B] va= vb=0 vdelta=1"], (2, 12, "va has an empty value")),
+    (["[topology] b2_X= rho_X=20 b2_S=2 rho_S=1"], (2, 12, "b2_X has an empty value")),
+    (["[topology] b2_X=23 rho_X=20 b2_S=2 rho_S="], (2, 36, "rho_S has an empty value")),
+], ids=["topology-leftover-text", "topology-repeated-key", "second-topology", "second-picard-degrees",
+        "branch-empty-value", "topology-empty-value", "topology-empty-last-value"])
 def test_shared_section_diagnostics(lines, diagnostic):
     with pytest.raises(ParseError) as info:
         parse_description("\n".join(["[branch A] va=0 vb=0 vdelta=1", *lines]) + "\n")

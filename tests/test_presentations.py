@@ -207,8 +207,18 @@ def test_presentation_from_dict_rejects_malformed_data():
     with pytest.raises(PresentationInconsistent, match="fibre_type must be a string, not NoneType"):
         presentation_from_dict(data)
     data = _builtin_as_dict()
+    data["branches"][0]["fibre_type"] = "I1"  # each branch is of a type of the pair
+    data["branches"] = data["branches"][:1]
+    with pytest.raises(PresentationInconsistent, match="does not match branch types"):
+        presentation_from_dict(data)
+    data = _builtin_as_dict()
+    data["pair"] = ["I0*", "I2"]
+    data["branches"][0] = data["branches"][1]  # two branches of one pair entry
+    with pytest.raises(PresentationInconsistent, match="does not match branch types"):
+        presentation_from_dict(data)
+    data = _builtin_as_dict()
     data["pair"][1] = "XYZ"
-    data["branches"] = data["branches"][:1]  # no second branch type to compare it with
+    data["branches"] = data["branches"][:1]
     with pytest.raises(PresentationInconsistent, match="cannot parse fibre type 'XYZ'"):
         presentation_from_dict(data)
 
@@ -243,6 +253,18 @@ def test_store_lookup_is_order_insensitive(tmp_path):
     assert list(loaded) == [frozenset(("I2", "I0*"))]
     assert loaded[frozenset(("I2", "I0*"))] == load_presentation_file(path)[1] != found
     assert load_presentations()[frozenset(("I2", "I0*"))] is found
+
+
+def test_type_names_are_read_in_canonical_form(tmp_path):
+    # 'I02' is I2: a file so spelled replaces the shipped I2 + I0* entry
+    data = _builtin_as_dict()
+    data["pair"][0] = data["branches"][0]["fibre_type"] = "I02"
+    data["branches"] = data["branches"][:1]
+    pair, pres = presentation_from_dict(data)
+    assert pair == ("I2", "I0*")
+    assert [br.fibre_type for br in pres.branches] == ["I2"]
+    (tmp_path / "i02.json").write_text(json.dumps(data), encoding="utf-8")
+    assert load_presentations(tmp_path) == {frozenset(("I2", "I0*")): pres}
 
 
 def test_shipped_presentation_file_matches_builtin():

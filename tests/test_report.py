@@ -8,6 +8,12 @@ import sys
 
 from ellfib import kodaira, poly, weierstrass
 from ellfib.parser import parse_description
+from ellfib.presentations import (
+    BranchPresentation,
+    CollisionPresentation,
+    DivisorRecord,
+    load_presentations,
+)
 from ellfib.report import (
     ALL_IRREDUCIBLE_NOTE,
     PUNCTURED_HYPOTHESIS,
@@ -269,6 +275,16 @@ def test_global_summary_from_topology():
     (verdicts,) = doc["verdicts"]
     (verdict,) = verdicts
     assert verdict["verdict"] == "NoIsolatedMultipleFibre"
+    # a negative corank and an all-zero degree list are error entries
+    doc = analyze(parse_description(
+        "[branch A] va=0 vb=0 vdelta=1\n"
+        "[topology] b2_X=5 rho_X=5 b2_S=3 rho_S=1\n"
+        "[picard-degrees] 0 0\n"
+    ))
+    assert (doc["global"]["corank"], doc["global"]["delta_eta_gcd"]) == (None, None)
+    assert [(e["subject"], e["kind"]) for e in doc["errors"]] == [
+        ("topology", "NegativeCorank"), ("picard-degrees", "AllZero"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +337,26 @@ def test_mismatched_explicit_presentation():
     (group,) = groups
     assert group["computed"] is None
     assert group["registry"] == "0"
+
+
+def test_attached_presentation_is_read_as_a_directory_file(tmp_path):
+    # a valid attached file is the root leaf's presentation, named by its
+    # path; one of a single branch of the pair gives the same group as
+    # the same file loaded from a presentation directory
+    one = json.loads((CORPUS / "presentations" / "i2_i0star.json").read_text(encoding="utf-8"))
+    one["branches"] = one["branches"][:1]
+    (tmp_path / "one.json").write_text(json.dumps(one), encoding="utf-8")
+    text = (CORPUS / "i2_i0star.fib").read_text(encoding="utf-8")
+    for name, base, computed in (
+        ("presentations/i2_i0star.json", CORPUS, "Z/2"), ("one.json", tmp_path, "0"),
+    ):
+        attached = text.replace("[collision] N2 D0", f"[collision] N2 D0 presentation={name}")
+        doc = analyze(parse_description(attached), base_dir=str(base))
+        assert doc["errors"] == []
+        ((group,),) = doc["groups"]
+        assert (group["computed"], group["presentation_source"]) == (computed, name)
+    ((from_directory,),) = analyze(parse_description(text), store=load_presentations(tmp_path))["groups"]
+    assert from_directory == {**group, "presentation_source": "registry"}
 
 
 def test_missing_presentation_file():
@@ -397,7 +433,18 @@ def test_render_text_lines():
     assert "local sha (registry) = Z/2" in text
     assert "registry and computation agree" in text
     assert "generator witness (0, 1/2, 0, 0, 0, 1/2, 1/2)" in text
+    assert "divisible part" not in text
     assert text.endswith("\n")
+    # a presentation whose kernel is Q/Z: one divisor meets the central
+    # component twice, the other once
+    divisible = CollisionPresentation(
+        (3,), (BranchPresentation("I2", (DivisorRecord(1, 1, (2,)), DivisorRecord(1, 1, (1,)))),)
+    )
+    doc = analyze(parse_description((CORPUS / "i2_i0star.fib").read_text(encoding="utf-8")),
+                  store={frozenset(("I2", "I0*")): divisible})
+    text = render_text(doc)
+    assert "[root] I2+I0*: local sha (computed from presentation [registry]) = (Q/Z)^1;" in text
+    assert "[root] I2+I0*: unusual: computed group has a divisible part" in text
 
 
 def test_render_text_blowup_tree_and_errors():
