@@ -19,7 +19,10 @@ Numbers, here and on the command line, are read by one reader per kind
 '-' before an integer, and 'inf' or 'infinity' in any case for an
 infinite valuation; other text raises ValueError.  A value that gets
 added needs fewer digits than int() reads, so that a sum of two prints;
-more raise OverflowError.  [branch] valuations are at most MAX_FIBRE_INDEX.
+more raise OverflowError.  int()'s limit is the one in force when ellfib
+is imported (weierstrass.DIGIT_LIMIT), not a later
+sys.set_int_max_str_digits().  [branch] valuations are at most
+MAX_FIBRE_INDEX.
 Polynomials use infix syntax over s and t with integer or ratio
 coefficients, explicit '*' between factors and '^' for powers; the
 exponent of each variable in a term is at most MAX_EXPONENT, and a
@@ -33,13 +36,12 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import poly
 from .errors import DegenerateModel, Diagnostic, ParseError, ValidationError
-from .weierstrass import INFINITY, WeierstrassPolyModel
+from .weierstrass import DIGIT_LIMIT, INFINITY, WeierstrassPolyModel
 
 __all__ = [
     "BranchDecl",
@@ -134,19 +136,17 @@ class FibrationDescription:
 
 
 _LONG_LITERAL = "integer literal of {} digits exceeds the limit of {}"
-
-
-def _digit_limit() -> int:
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+# A literal int() refuses; the lookbehind tries each run of digits once,
+# so the scan stays linear
+_TOO_LONG = re.compile(rf"(?<!\d)\d{{{DIGIT_LIMIT + 1},}}") if DIGIT_LIMIT else None
 
 
 def read_nonnegative(text: str) -> int:
     """A [topology] value, a corank argument or a command-line vdelta."""
     if not text.isdecimal():
         raise ValueError(f"expected a nonnegative integer, got {text!r}")
-    limit = _digit_limit()
-    if limit and len(text) >= limit:
-        raise OverflowError(f"of {len(text)} characters exceeds the limit of {limit - 1} digits")
+    if DIGIT_LIMIT and len(text) >= DIGIT_LIMIT:
+        raise OverflowError(f"of {len(text)} characters exceeds the limit of {DIGIT_LIMIT - 1} digits")
     return int(text)
 
 
@@ -164,9 +164,8 @@ def read_integer(text: str) -> int:
     digits = text[1:] if text[:1] == "-" else text
     if not digits.isdecimal():
         raise ValueError(f"expected an integer, got {text!r}")
-    limit = _digit_limit()
-    if limit and len(digits) > limit:
-        raise ValueError(_LONG_LITERAL.format(len(digits), limit))
+    if DIGIT_LIMIT and len(digits) > DIGIT_LIMIT:
+        raise ValueError(_LONG_LITERAL.format(len(digits), DIGIT_LIMIT))
     return int(text)
 
 
@@ -367,7 +366,7 @@ def _topology(m: re.Match, lineno: int) -> tuple[int, int, int, int]:
     if long_value:
         raise _Fault(col + long_value.start(),
                      f"{long_value[1]} of {len(long_value[2])} digits exceeds "
-                     f"the limit of {_digit_limit() - 1} digits for [topology] values")
+                     f"the limit of {DIGIT_LIMIT - 1} digits for [topology] values")
     return tuple(values[k] for k in _TOPOLOGY_KEYS)
 
 
@@ -437,19 +436,15 @@ def parse_description(text: str) -> FibrationDescription:
     """
     syntax: list[Diagnostic] = []
     found: dict[str, list] = {section: [] for section in _SECTIONS}
-    # int() refuses literals longer than this (0: no limit); the
-    # lookbehind tries each run of digits once, so the scan stays linear
-    limit = _digit_limit()
-    too_long = re.compile(rf"(?<!\d)\d{{{limit + 1},}}") if limit else None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0]
         if not line.strip():
             continue
         try:
-            long_literal = too_long and too_long.search(line)
+            long_literal = _TOO_LONG and _TOO_LONG.search(line)
             if long_literal:
-                raise _Fault(long_literal.start(), _LONG_LITERAL.format(len(long_literal[0]), limit))
+                raise _Fault(long_literal.start(), _LONG_LITERAL.format(len(long_literal[0]), DIGIT_LIMIT))
             m = _SECTION.match(line)
             if not m:
                 raise _Fault(len(line) - len(line.lstrip()), "expected a [section] header")

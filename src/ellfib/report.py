@@ -108,34 +108,11 @@ def _branch_json(name: str, profile: ValuationProfile) -> tuple[dict, BranchGerm
     return entry, germ
 
 
-def _presentation_for_leaf(
-    leaf: BlowupNode,
-    explicit: tuple[tuple[str, str], CollisionPresentation] | None,
-    explicit_name: str | None,
-    store: dict[frozenset[str], CollisionPresentation],
-) -> tuple[CollisionPresentation | None, str | None]:
-    lt, rt = (str(t) for t in leaf.type_pair())
-    if explicit is not None and leaf.path == "":
-        pair, pres = explicit
-        if set(pair) != {lt, rt}:
-            raise PresentationInconsistent(
-                f"attached presentation describes {sorted(set(pair))} but the "
-                f"collision is {lt} + {rt}"
-            )
-        return pres, explicit_name
-    found = store.get(frozenset((lt, rt)))
-    return found, None if found is None else "registry"
-
-
 def _leaf_json(
-    leaf: BlowupNode,
-    explicit: tuple[tuple[str, str], CollisionPresentation] | None,
-    explicit_name: str | None,
-    store: dict[frozenset[str], CollisionPresentation],
-    errors: list[dict],
-    subject: str,
+    leaf: BlowupNode, pres: CollisionPresentation | None, source: str
 ) -> tuple[dict, dict]:
-    """The verdict entry and the group entry of one allowed leaf."""
+    """The verdict entry and the group entry of one allowed leaf, its
+    group computed from pres when there is one."""
     lt, rt = leaf.type_pair()
     path, pair = leaf.path or "root", f"{lt}+{rt}"
     verdict = multiple_fibre_verdict(lt, rt)
@@ -156,14 +133,9 @@ def _leaf_json(
         "divisible_part_flag": False,
         "presentation_source": None,
     }
-    try:
-        pres, source = _presentation_for_leaf(leaf, explicit, explicit_name, store)
-        if pres is None:
-            return verdict_entry, group
-        computed, witnesses = local_sha_with_witnesses(pres)
-    except FibrationError as exc:
-        _error(errors, subject, exc)
+    if pres is None:
         return verdict_entry, group
+    computed, witnesses = local_sha_with_witnesses(pres)
     group.update(
         computed=str(computed),
         witnesses=[[str(x) for x in w] for w in witnesses] or None,
@@ -182,15 +154,20 @@ def _collision_json(
     errors: list[dict],
 ) -> tuple[dict | None, list[tuple[dict, dict]]]:
     """The blow-up tree of one collision and the (verdict, group) entries
-    of its allowed leaves; no tree once a failure is recorded."""
+    of its allowed leaves; no tree once a failure is recorded.  A leaf
+    takes the attached file's presentation when the file's pair is the
+    leaf's, else the store's entry; an attached file that no allowed leaf
+    takes is an error."""
     subject = f"collision {c.left}+{c.right}"
-    explicit = None
+    attached = None
     if c.presentation is not None:
         try:
-            explicit = load_presentation_file(os.path.join(base_dir or "", c.presentation))
+            pair, pres = load_presentation_file(os.path.join(base_dir or "", c.presentation))
         except (OSError, FibrationError) as exc:
             _error(errors, subject, exc)
             return None, []
+        attached = frozenset(pair)
+        store = {**store, attached: pres}
 
     missing = [n for n in (c.left, c.right) if n not in germs]
     if missing:
@@ -208,8 +185,14 @@ def _collision_json(
         _error(errors, subject, exc)
         return None, []
 
-    leaves = [_leaf_json(leaf, explicit, c.presentation, store, errors, subject)
-              for leaf in tree.allowed_leaves()]
+    allowed = tree.allowed_leaves()
+    keys = [frozenset(str(t) for t in leaf.type_pair()) for leaf in allowed]
+    if attached is not None and attached not in keys:
+        _error(errors, subject, PresentationInconsistent(
+            f"attached presentation describes {' + '.join(pair)}, "
+            "the type pair of no allowed leaf of the collision"))
+    leaves = [_leaf_json(leaf, store.get(key), c.presentation if key == attached else "registry")
+              for leaf, key in zip(allowed, keys)]
     return _tree_json(tree.root), leaves
 
 
@@ -240,11 +223,7 @@ def analyze(
                 _error(errors, b.name, exc)
 
     for name, profile in declared:
-        try:
-            entry, germ = _branch_json(name, profile)
-        except FibrationError as exc:
-            _error(errors, name, exc)
-            continue
+        entry, germ = _branch_json(name, profile)
         branches.append(entry)
         germs[name] = germ
 

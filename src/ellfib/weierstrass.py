@@ -18,6 +18,7 @@ import functools
 import math
 import random
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -25,6 +26,10 @@ from . import poly
 from .errors import DegenerateModel, InvalidProfile, NotMinimal
 
 INFINITY = float("inf")
+
+# int() refuses decimal text of more digits than this (0: no limit).
+# Read once, at import: a later sys.set_int_max_str_digits() is not seen.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 _STAR_KINDS = ("I", "I*")
 _FIXED_KINDS = ("II", "III", "IV", "IV*", "III*", "II*")
@@ -62,13 +67,20 @@ class KodairaType:
 
     @classmethod
     def parse(cls, text: str) -> "KodairaType":
+        """The type text names, spelled as str() spells it up to leading
+        zeros of the index.  An index has fewer digits than int() reads,
+        as a command-line vdelta has, so that its component count, at
+        most index + 5, still prints."""
         text = text.strip()
         if text in _FIXED_KINDS:
             return cls(text)
         m = re.fullmatch(r"I(\d+)(\*)?", text)
-        if m:
-            return cls("I*" if m.group(2) else "I", int(m.group(1)))
-        raise ValueError(f"cannot parse fibre type {text!r}")
+        if not m:
+            raise ValueError(f"cannot parse fibre type {text!r}")
+        if DIGIT_LIMIT and len(m[1]) >= DIGIT_LIMIT:
+            raise ValueError(f"fibre type index of {len(m[1])} digits exceeds "
+                             f"the limit of {DIGIT_LIMIT - 1} digits")
+        return cls("I*" if m[2] else "I", int(m[1]))
 
     @property
     def is_smooth(self) -> bool:

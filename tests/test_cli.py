@@ -85,6 +85,28 @@ def test_lattice_command_refuses_huge_types(capsys):
         )
 
 
+def test_type_index_too_long_to_print(capsys):
+    # I_N* has N + 5 components: with N of 4300 nines the count has 4301
+    # digits, more than str() converts at the default limit, so an index
+    # has fewer digits than int() reads, as a vdelta has
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+        pytest.skip("needs Python's default integer string limit of 4300 digits")
+    for command in ("lattice", "sha-punctured"):
+        for text in ("I" + "7" * 4301, "I" + "9" * 4300 + "*"):
+            with pytest.raises(SystemExit) as exc:
+                run(command, text)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith(f"usage: ellfib {command}")
+            assert err[-1] == (f"ellfib {command}: error: argument type: fibre type index of "
+                               f"{len(text.strip('I*'))} digits exceeds the limit of 4299 digits")
+    # one digit fewer: the count has 4300 digits and prints
+    text = "I" + "9" * 4299 + "*"
+    assert run("lattice", text) == (EXIT_ENGINE, "")
+    assert _single_error_line(capsys).startswith(
+        f"error: LatticeTooLarge: {text} has {int(text[1:-1]) + 5} components")
+
+
 # ---------------------------------------------------------------------------
 # collision commands
 
@@ -674,14 +696,18 @@ def test_report_attached_presentation_faults_name_the_file(tmp_path, capsys):
 
 def test_sha_local_refuses_unknown_fibre_types(tmp_path, capsys):
     data = json.loads((CORPUS / "presentations" / "i2_i0star.json").read_text(encoding="utf-8"))
-    data["pair"][0] = data["branches"][0]["fibre_type"] = "XYZ"
-    bad = tmp_path / "xyz.json"
-    bad.write_text(json.dumps(data), encoding="utf-8")
-    rc, out = run("sha-local", str(bad))
-    assert (rc, out) == (EXIT_ENGINE, "")
-    assert _single_error_line(capsys) == (
-        f"error: PresentationInconsistent: cannot parse fibre type 'XYZ' in {bad}"
-    )
+    cases = [("XYZ", "cannot parse fibre type 'XYZ'")]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # an index is read as on the command line, in the same words
+        cases.append(("I" + "7" * limit,
+                      f"fibre type index of {limit} digits exceeds the limit of {limit - 1} digits"))
+    for name, reason in cases:
+        data["pair"][0] = data["branches"][0]["fibre_type"] = name
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        rc, out = run("sha-local", str(bad))
+        assert (rc, out) == (EXIT_ENGINE, "")
+        assert _single_error_line(capsys) == f"error: PresentationInconsistent: {reason} in {bad}"
 
 
 def _shipped_presentation() -> dict:

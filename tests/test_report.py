@@ -2,11 +2,13 @@
 returns, and the two renderers that read that document."""
 
 import dataclasses
+import io
 import json
 import pathlib
 import sys
 
 from ellfib import kodaira, poly, weierstrass
+from ellfib.cli import EXIT_ENGINE, main
 from ellfib.parser import parse_description
 from ellfib.presentations import (
     BranchPresentation,
@@ -320,29 +322,64 @@ def test_inconsistent_collision_is_reported():
     assert err["subject"] == "collision C2+C3"
 
 
-def test_mismatched_explicit_presentation():
-    d = parse_description(
-        "[branch L1] va=0 vb=0 vdelta=1\n"
-        "[branch L2] va=0 vb=0 vdelta=1\n"
-        "[collision] L1 L2 presentation=presentations/i2_i0star.json\n"
-    )
-    doc = analyze(d, base_dir=str(CORPUS))
-    assert doc["errors"]
-    (err,) = doc["errors"]
-    assert err["kind"] == "PresentationInconsistent"
-    # the tree itself still resolves; only the attached data is rejected
-    (coll,) = doc["collisions"]
-    assert coll["status"] == "resolved"
-    (groups,) = doc["groups"]
-    (group,) = groups
-    assert group["computed"] is None
-    assert group["registry"] == "0"
+def test_mismatched_explicit_presentation(tmp_path):
+    # an attached file of a pair no allowed leaf has is one error entry,
+    # at the root leaf (I1 + I1) and below a blow-up (II + II gives two
+    # II + IV leaves) alike
+    attached = CORPUS / "presentations" / "i2_i0star.json"
+    for left, right, profile, registry in (
+        ("L1", "L2", "va=0 vb=0 vdelta=1", ["0"]), ("C", "E", "va=1 vb=1 vdelta=2", ["0", "0"]),
+    ):
+        text = (f"[branch {left}] {profile}\n[branch {right}] {profile}\n"
+                f"[collision] {left} {right} presentation={attached}\n")
+        doc = analyze(parse_description(text))
+        assert doc["errors"] == [{
+            "subject": f"collision {left}+{right}",
+            "kind": "PresentationInconsistent",
+            "message": "attached presentation describes I2 + I0*, the type pair of no "
+                       "allowed leaf of the collision",
+        }]
+        # the tree itself still resolves; only the attached data is rejected
+        (coll,) = doc["collisions"]
+        assert coll["status"] == "resolved"
+        (groups,) = doc["groups"]
+        assert [g["registry"] for g in groups] == registry
+        assert all(g["computed"] is None for g in groups)
+        path = tmp_path / f"{left}.fib"
+        path.write_text(text, encoding="utf-8")
+        assert main(["report", str(path)], out=io.StringIO()) == EXIT_ENGINE
+
+
+# II + IV on three central components of multiplicity 1: the II fibre's
+# one component sweeps all three, each IV component one
+II_IV = {
+    "pair": ["II", "IV"],
+    "central_multiplicities": [1, 1, 1],
+    "branches": [
+        {"fibre_type": "II", "divisors": [{"m": 1, "r": 1, "incidence": [1, 1, 1]}]},
+        {"fibre_type": "IV", "divisors": [
+            {"m": 1, "r": 1, "incidence": [1, 0, 0]},
+            {"m": 1, "r": 1, "incidence": [0, 1, 0]},
+            {"m": 1, "r": 1, "incidence": [0, 0, 1]},
+        ]},
+    ],
+}
 
 
 def test_attached_presentation_is_read_as_a_directory_file(tmp_path):
-    # a valid attached file is the root leaf's presentation, named by its
-    # path; one of a single branch of the pair gives the same group as
-    # the same file loaded from a presentation directory
+    # a valid attached file is the presentation of every allowed leaf of
+    # its pair, named by its path; one of a single branch of the pair
+    # gives the same group as the same file loaded from a presentation
+    # directory
+    (tmp_path / "ii_iv.json").write_text(json.dumps(II_IV), encoding="utf-8")
+    doc = analyze(parse_description(
+        "[branch C] va=1 vb=1 vdelta=2\n[branch E] va=1 vb=1 vdelta=2\n"
+        "[collision] C E presentation=ii_iv.json\n"
+    ), base_dir=str(tmp_path))
+    assert doc["errors"] == []
+    assert [(g["path"], g["pair"], g["computed"], g["presentation_source"])
+            for g in doc["groups"][0]] == [("L", "II+IV", "0", "ii_iv.json"),
+                                           ("R", "II+IV", "0", "ii_iv.json")]
     one = json.loads((CORPUS / "presentations" / "i2_i0star.json").read_text(encoding="utf-8"))
     one["branches"] = one["branches"][:1]
     (tmp_path / "one.json").write_text(json.dumps(one), encoding="utf-8")
