@@ -24,7 +24,7 @@ from .collisions import (
     miranda_reduce,
     multiple_fibre_verdict,
 )
-from .errors import FibrationError, ParseError, ValidationError, naming_input
+from .errors import FibrationError, ParseError, naming_input
 from .parser import parse_description, read_integer, read_nonnegative, read_valuation
 from .presentations import load_presentation_file, load_presentations, local_sha_with_witnesses
 from .weierstrass import (
@@ -41,17 +41,27 @@ EXIT_INPUT = 1
 EXIT_ENGINE = 2
 
 
-def _argument(read, what: str = "value"):
+def _argument(read):
     """An argparse type over read, one of the parser's readers (so an
     argument takes what a file takes in its role) or KodairaType.parse."""
     def convert(text: str):
         try:
             return read(text)
-        except OverflowError as exc:
-            raise argparse.ArgumentTypeError(f"{what} {exc}")
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
     return convert
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, refusing the [] that Python 3.11's argparse
+    hands the last positional argument for a '--' after '--'."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for name, value in vars(namespace).items():
+            if value == []:
+                self.error(f"argument {name}: expected one argument")
+        return namespace, extras
 
 
 def _profile(args, prefix: str = "") -> ValuationProfile:
@@ -184,10 +194,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "surface: Kodaira types, collision resolution, fibre lattices and "
         "Tate-Shafarevich kernels.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    valuation = _argument(read_valuation, "valuation")
-    vdelta = _argument(read_nonnegative, "valuation")
+    valuation = _argument(read_valuation)
+    vdelta = _argument(read_nonnegative)
 
     def add_profile_args(p, prefix=""):
         p.add_argument(prefix + "va", type=valuation, help="valuation of a (or inf)")
@@ -247,7 +257,7 @@ def main(argv=None, out=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args, out)
-    except (ParseError, ValidationError) as exc:
+    except ParseError as exc:
         for d in exc.diagnostics:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,8 +1,8 @@
 """Exception types shared across the library.
 
 Everything raised on purpose derives from FibrationError, so callers can
-distinguish engine failures from input problems (ParseError,
-ValidationError) when choosing an exit code.
+distinguish engine failures from input problems (ParseError) when
+choosing an exit code.
 """
 
 import json
@@ -90,15 +90,8 @@ class Diagnostic:
 
 
 class ParseError(FibrationError):
-    """Syntax errors in an input file, with line/column positions."""
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(str(d) for d in self.diagnostics))
-
-
-class ValidationError(FibrationError):
-    """Semantic errors in a parsed description, naming the offender."""
+    """Faults of an input file: syntax errors with line/column positions,
+    or semantic errors naming the offender."""
 
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
@@ -108,15 +101,15 @@ class ValidationError(FibrationError):
 @contextmanager
 def naming_input(path):
     """Make every input fault inside the block name `path`: the
-    diagnostics of a ParseError or ValidationError and the message of a
+    diagnostics of a ParseError and the message of a
     PresentationInconsistent, and turn a JSON or UTF-8 decoding failure,
-    JSON nested deeper than the decoder recurses or an integer literal
-    that int() refuses as too long into a ParseError.  Files must be read
+    JSON nested deeper than the decoder recurses or a JSON integer that
+    parser.read_integer refuses into a ParseError.  Files must be read
     whole, so that the decoder's byte offset is an offset into the file."""
     try:
         yield
-    except (ParseError, ValidationError) as exc:
-        raise type(exc)(
+    except ParseError as exc:
+        raise ParseError(
             Diagnostic(d.line, d.column, f"{d.message} in {path}") for d in exc.diagnostics
         ) from exc
     except PresentationInconsistent as exc:
@@ -132,7 +125,5 @@ def naming_input(path):
         column = len(raw[start:exc.start].decode("utf-8")) + 1
         raise ParseError([Diagnostic(line, column, f"not valid UTF-8 in {path}")]) from exc
     except ValueError as exc:
-        # json reads numbers with int(), which gives no position; drop
-        # its advice to raise sys.set_int_max_str_digits()
-        reason = str(exc).split(";")[0]
-        raise ParseError([Diagnostic(None, None, f"{reason} in {path}")]) from exc
+        # json gives the position of no integer its parse_int refuses
+        raise ParseError([Diagnostic(None, None, f"{exc} in {path}")]) from exc

@@ -14,15 +14,13 @@ Shared sections:
       [topology] b2_X=23 rho_X=20 b2_S=2 rho_S=1
       [picard-degrees] 3 0
 
-Numbers, here and on the command line, are read by one reader per kind
-(read_valuation, read_nonnegative, read_integer): str.isdecimal() digits,
-'-' before an integer, and 'inf' or 'infinity' in any case for an
-infinite valuation; other text raises ValueError.  A value that gets
-added needs fewer digits than int() reads, so that a sum of two prints;
-more raise OverflowError.  int()'s limit is the one in force when ellfib
-is imported (weierstrass.DIGIT_LIMIT), not a later
-sys.set_int_max_str_digits().  [branch] valuations are at most
-MAX_FIBRE_INDEX.
+Numbers, here, on the command line and in presentation JSON, are read
+by one reader per kind (read_valuation, read_nonnegative,
+read_integer): str.isdecimal() digits, '-' before an integer, and 'inf'
+or 'infinity' in any case for an infinite valuation; other text raises
+ValueError.  Every number, and every run of digits on a line, has fewer
+digits than int() reads (weierstrass.check_digits).  [branch]
+valuations are at most MAX_FIBRE_INDEX.
 Polynomials use infix syntax over s and t with integer or ratio
 coefficients, explicit '*' between factors and '^' for powers; the
 exponent of each variable in a term is at most MAX_EXPONENT, and a
@@ -40,8 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import poly
-from .errors import DegenerateModel, Diagnostic, ParseError, ValidationError
-from .weierstrass import DIGIT_LIMIT, INFINITY, WeierstrassPolyModel
+from .errors import DegenerateModel, Diagnostic, ParseError
+from .weierstrass import DIGIT_LIMIT, INFINITY, WeierstrassPolyModel, check_digits
 
 __all__ = [
     "BranchDecl",
@@ -135,18 +133,16 @@ class FibrationDescription:
     picard_degrees: tuple[int, ...] | None
 
 
-_LONG_LITERAL = "integer literal of {} digits exceeds the limit of {}"
-# A literal int() refuses; the lookbehind tries each run of digits once,
-# so the scan stays linear
-_TOO_LONG = re.compile(rf"(?<!\d)\d{{{DIGIT_LIMIT + 1},}}") if DIGIT_LIMIT else None
+# A run of digits check_digits refuses; the lookbehind tries each run
+# once, so the scan stays linear
+_TOO_LONG = re.compile(rf"(?<!\d)\d{{{DIGIT_LIMIT},}}") if DIGIT_LIMIT else None
 
 
 def read_nonnegative(text: str) -> int:
     """A [topology] value, a corank argument or a command-line vdelta."""
     if not text.isdecimal():
         raise ValueError(f"expected a nonnegative integer, got {text!r}")
-    if DIGIT_LIMIT and len(text) >= DIGIT_LIMIT:
-        raise OverflowError(f"of {len(text)} characters exceeds the limit of {DIGIT_LIMIT - 1} digits")
+    check_digits(text)
     return int(text)
 
 
@@ -160,12 +156,12 @@ def read_valuation(text: str):
 
 
 def read_integer(text: str) -> int:
-    """A [picard-degrees] entry or a delta-gcd argument, never added."""
+    """A [picard-degrees] entry, a delta-gcd argument or an integer in
+    presentation JSON."""
     digits = text[1:] if text[:1] == "-" else text
     if not digits.isdecimal():
         raise ValueError(f"expected an integer, got {text!r}")
-    if DIGIT_LIMIT and len(digits) > DIGIT_LIMIT:
-        raise ValueError(_LONG_LITERAL.format(len(digits), DIGIT_LIMIT))
+    check_digits(digits)
     return int(text)
 
 
@@ -319,8 +315,6 @@ def _branch(m: re.Match, lineno: int) -> BranchDecl:
             values[key] = read_valuation(kv[2])
         except ValueError:
             raise _Fault(col, f"{key} must be a nonnegative integer or inf, got {kv[2]!r}")
-        except OverflowError:  # more digits than any fibre index
-            values[key] = MAX_FIBRE_INDEX + 1
     if values["vdelta"] == INFINITY:
         raise _Fault(col, "vdelta cannot be inf")
     for key, v in values.items():
@@ -348,26 +342,19 @@ def _collision(m: re.Match, lineno: int) -> CollisionDecl:
     if len(parts) != 2:
         raise _Fault(m.start("payload"),
                      "[collision] needs two branch names and an optional presentation=FILE")
+    if pres == "":
+        raise _Fault(m.start("payload") + m["payload"].rindex("presentation="),
+                     "presentation has an empty value")
     return CollisionDecl(parts[0], parts[1], pres, lineno)
 
 
 def _topology(m: re.Match, lineno: int) -> tuple[int, int, int, int]:
-    col = m.start("payload")
     found = _read_keys(m, _TOPOLOGY_KEYS)
-    values, long_value = {}, None
     try:
-        for key, kv in found.items():
-            try:
-                values[key] = read_nonnegative(kv[2])
-            except OverflowError:
-                long_value = long_value or kv
+        return tuple(read_nonnegative(found[k][2]) for k in _TOPOLOGY_KEYS)
     except ValueError:
-        raise _Fault(col, "[topology] needs b2_X, rho_X, b2_S, rho_S as nonnegative integers")
-    if long_value:
-        raise _Fault(col + long_value.start(),
-                     f"{long_value[1]} of {len(long_value[2])} digits exceeds "
-                     f"the limit of {DIGIT_LIMIT - 1} digits for [topology] values")
-    return tuple(values[k] for k in _TOPOLOGY_KEYS)
+        raise _Fault(m.start("payload"),
+                     "[topology] needs b2_X, rho_X, b2_S, rho_S as nonnegative integers")
 
 
 def _picard_degrees(m: re.Match, lineno: int) -> tuple[int, ...]:
@@ -397,14 +384,14 @@ def _integral(a: poly.Poly, b: poly.Poly, line: int) -> WeierstrassPolyModel:
     """(lam^4 a, lam^6 b) with lam the lcm of all denominators: an isomorphic
     model with int coefficients, the same valuations and Delta * lam^12,
     so the model's leading-term reads of Delta run on ints.  Raises
-    ValidationError, at column 1 of the line, when lam has more than
+    ParseError, at column 1 of the line, when lam has more than
     MAX_DENOMINATOR_DIGITS digits or the coefficients more than
     MAX_MODEL_BITS bits in all, and DegenerateModel when Delta vanishes."""
     lam = 1
     for c in (*a.values(), *b.values()):
         lam = math.lcm(lam, c.denominator)
         if lam >= _DENOMINATOR_BOUND:
-            raise ValidationError([Diagnostic(
+            raise ParseError([Diagnostic(
                 line, 1,
                 "the lcm of the coefficient denominators exceeds "
                 f"{MAX_DENOMINATOR_DIGITS} digits (MAX_DENOMINATOR_DIGITS)",
@@ -418,7 +405,7 @@ def _integral(a: poly.Poly, b: poly.Poly, line: int) -> WeierstrassPolyModel:
             out[e] = v = c.numerator * (lam // c.denominator) * lam_k
             bits += v.bit_length()
             if bits > MAX_MODEL_BITS:
-                raise ValidationError([Diagnostic(
+                raise ParseError([Diagnostic(
                     line, 1,
                     f"the integral model's coefficients exceed {MAX_MODEL_BITS} bits "
                     "in all (MAX_MODEL_BITS)",
@@ -431,8 +418,8 @@ def parse_description(text: str) -> FibrationDescription:
     """Parse and validate a description file.
 
     Raises ParseError with positioned diagnostics for syntax problems,
-    then ValidationError naming the offending branch or collision for
-    semantic ones.
+    or, where there are none, naming the offending branch or collision
+    for semantic ones.
     """
     syntax: list[Diagnostic] = []
     found: dict[str, list] = {section: [] for section in _SECTIONS}
@@ -442,9 +429,12 @@ def parse_description(text: str) -> FibrationDescription:
         if not line.strip():
             continue
         try:
-            long_literal = _TOO_LONG and _TOO_LONG.search(line)
-            if long_literal:
-                raise _Fault(long_literal.start(), _LONG_LITERAL.format(len(long_literal[0]), DIGIT_LIMIT))
+            long_number = _TOO_LONG and _TOO_LONG.search(line)
+            if long_number:
+                try:
+                    check_digits(long_number[0])
+                except ValueError as exc:
+                    raise _Fault(long_number.start(), str(exc))
             m = _SECTION.match(line)
             if not m:
                 raise _Fault(len(line) - len(line.lstrip()), "expected a [section] header")
@@ -491,7 +481,7 @@ def parse_description(text: str) -> FibrationDescription:
     if coeffs:
         try:
             model = _integral(*coeffs, model_line)
-        except ValidationError as exc:
+        except ParseError as exc:
             semantic.extend(exc.diagnostics)
         except DegenerateModel as exc:
             semantic.append(Diagnostic(model_line, 1, str(exc)))
@@ -512,7 +502,7 @@ def parse_description(text: str) -> FibrationDescription:
             ))
 
     if semantic:
-        raise ValidationError(semantic)
+        raise ParseError(semantic)
 
     return FibrationDescription(
         mode="weierstrass" if model is not None else "branches",

@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .errors import PresentationInconsistent, naming_input
 from .exact_linalg import DivisibleGroup, IntMatrix, induced_kernel_with_witnesses
+from .parser import read_integer
 from .weierstrass import KodairaType
 
 # Most central components, and most divisors over all branches, that a
@@ -273,7 +274,7 @@ def load_presentation_file(path) -> tuple[tuple[str, str], CollisionPresentation
     file, as naming_input makes it."""
     with naming_input(path):
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=read_integer)
         if not isinstance(data, dict):
             raise PresentationInconsistent("expected a JSON object")
         return presentation_from_dict(data)

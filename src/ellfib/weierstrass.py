@@ -31,6 +31,15 @@ INFINITY = float("inf")
 # Read once, at import: a later sys.set_int_max_str_digits() is not seen.
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
+
+def check_digits(digits: str) -> None:
+    """Raise ValueError unless digits has fewer digits than int() reads:
+    the one rule for every number ellfib reads, so that a sum of two, or
+    an index plus 5, still prints."""
+    if DIGIT_LIMIT and len(digits) >= DIGIT_LIMIT:
+        raise ValueError(f"number of {len(digits)} digits exceeds the limit of {DIGIT_LIMIT - 1} digits")
+
+
 _STAR_KINDS = ("I", "I*")
 _FIXED_KINDS = ("II", "III", "IV", "IV*", "III*", "II*")
 
@@ -68,18 +77,14 @@ class KodairaType:
     @classmethod
     def parse(cls, text: str) -> "KodairaType":
         """The type text names, spelled as str() spells it up to leading
-        zeros of the index.  An index has fewer digits than int() reads,
-        as a command-line vdelta has, so that its component count, at
-        most index + 5, still prints."""
+        zeros of the index, whose digits check_digits bounds."""
         text = text.strip()
         if text in _FIXED_KINDS:
             return cls(text)
         m = re.fullmatch(r"I(\d+)(\*)?", text)
         if not m:
             raise ValueError(f"cannot parse fibre type {text!r}")
-        if DIGIT_LIMIT and len(m[1]) >= DIGIT_LIMIT:
-            raise ValueError(f"fibre type index of {len(m[1])} digits exceeds "
-                             f"the limit of {DIGIT_LIMIT - 1} digits")
+        check_digits(m[1])
         return cls("I*" if m[2] else "I", int(m[1]))
 
     @property

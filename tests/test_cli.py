@@ -11,7 +11,7 @@ import pytest
 
 from ellfib import collisions
 from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, build_arg_parser, main
-from ellfib.errors import ParseError, ValidationError
+from ellfib.errors import ParseError
 from ellfib.kodaira import MAX_LATTICE_COMPONENTS
 from ellfib.parser import (
     MAX_DENOMINATOR_DIGITS,
@@ -98,13 +98,34 @@ def test_type_index_too_long_to_print(capsys):
             assert exc.value.code == 2
             err = capsys.readouterr().err.splitlines()
             assert err[0].startswith(f"usage: ellfib {command}")
-            assert err[-1] == (f"ellfib {command}: error: argument type: fibre type index of "
+            assert err[-1] == (f"ellfib {command}: error: argument type: number of "
                                f"{len(text.strip('I*'))} digits exceeds the limit of 4299 digits")
     # one digit fewer: the count has 4300 digits and prints
     text = "I" + "9" * 4299 + "*"
     assert run("lattice", text) == (EXIT_ENGINE, "")
     assert _single_error_line(capsys).startswith(
         f"error: LatticeTooLarge: {text} has {int(text[1:-1]) + 5} components")
+
+
+def test_second_double_dash_is_a_usage_error(capsys):
+    # Python 3.11's argparse hands the second '--' to the last positional
+    # argument as [], calling no type on it; an argparse that passes the
+    # text '--' on has the argument's type refuse it.  Either way the
+    # command line is a usage error.
+    for argv, last in (
+        (("classify", "1", "1"), "vdelta"),
+        (("minimalize", "1", "1"), "vdelta"),
+        (("blowup", "0", "0", "1", "0", "0"), "rvdelta"),
+        (("reduce", "0", "0", "1", "0", "0"), "rvdelta"),
+        (("corank", "3", "0", "5"), "rho_S"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--", "--")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[0].startswith(f"usage: ellfib {argv[0]}")
+        assert err.splitlines()[-1].startswith(f"ellfib {argv[0]}: error: argument {last}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +191,8 @@ def test_valuations_too_long_to_print(capsys):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1] == (
-            f"ellfib {command}: error: argument lvdelta: valuation of 4300 "
-            "characters exceeds the limit of 4299 digits"
+            f"ellfib {command}: error: argument lvdelta: number of 4300 "
+            "digits exceeds the limit of 4299 digits"
         )
     # one digit fewer: the blown-up index has 4300 digits and prints
     rc, out = run("reduce", "2", "3", big[1:], "2", "3", big[1:])
@@ -206,6 +227,14 @@ def test_sha_local_command(tmp_path):
     assert run("sha-local", str(one)) == (
         EXIT_OK, "local sha: 0\nregistry: Z/2 (DISAGREE)\nverdict: PossiblyObstinate(Z/2)\n"
     )
+    # a pair off Miranda's list has no registry entry and no verdict
+    off_list = tmp_path / "ii_ii.json"
+    off_list.write_text(json.dumps({
+        "pair": ["II", "II"],
+        "central_multiplicities": [1],
+        "branches": [{"fibre_type": "II", "divisors": [{"m": 1, "r": 1, "incidence": [1]}]}] * 2,
+    }), encoding="utf-8")
+    assert run("sha-local", str(off_list)) == (EXIT_OK, "local sha: 0\n")
 
 
 def test_sha_punctured_command():
@@ -232,7 +261,7 @@ def test_corank_refuses_negative_and_overlong_values(capsys):
     for argv, message in (
         (("--", "-1", "0", "0", "0"), "expected a nonnegative integer, got '-1'"),
         (("x", "0", "0", "0"), "expected a nonnegative integer, got 'x'"),
-        ((big, "0", "0", big), "value of 4300 characters exceeds the limit of 4299 digits"),
+        ((big, "0", "0", big), "number of 4300 digits exceeds the limit of 4299 digits"),
     ):
         with pytest.raises(SystemExit) as exc:
             run("corank", *argv)
@@ -251,16 +280,17 @@ def test_delta_gcd_command(capsys):
     rc, _ = run("delta-gcd", "0", "0")
     assert rc == EXIT_ENGINE
     assert "AllZero" in capsys.readouterr().err
-    # a degree int() cannot read is refused in the parser's own words
+    # a degree of as many digits as int() reads is refused in the
+    # parser's own words
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         with pytest.raises(SystemExit) as exc:
-            run("delta-gcd", "--", "-" + "7" * (limit + 1))
+            run("delta-gcd", "--", "-" + "7" * limit)
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("usage: ellfib delta-gcd")
-        assert err[-1] == ("ellfib delta-gcd: error: argument degrees: integer literal of "
-                           f"{limit + 1} digits exceeds the limit of {limit}")
+        assert err[-1] == ("ellfib delta-gcd: error: argument degrees: number of "
+                           f"{limit} digits exceeds the limit of {limit - 1} digits")
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +332,7 @@ def _file_value(text, read):
     """read(parsed description), or None when the parser refuses text."""
     try:
         return read(parse_description(text))
-    except (ParseError, ValidationError):
+    except ParseError:
         return None
 
 
@@ -484,8 +514,8 @@ def test_report_overlong_integer_literal(tmp_path, capsys):
         rc, out = run("report", str(bad))
         assert (rc, out) == (EXIT_INPUT, "")
         assert _single_error_line(capsys) == (
-            f"error: line 2, col {col}: integer literal of {len(big)} digits "
-            f"exceeds the limit of {len(big) - 1} in {bad}"
+            f"error: line 2, col {col}: number of {len(big)} digits "
+            f"exceeds the limit of {len(big) - 2} digits in {bad}"
         )
 
 
@@ -545,12 +575,12 @@ def test_report_refuses_denominator_lcm_over_bound(tmp_path, capsys):
 
 
 def test_report_refuses_huge_fibre_index_and_exponent(tmp_path, capsys):
-    # 4300 digits is the longest literal int() converts by default, so
-    # these pass the literal-length scan and must meet the bounds
+    # 4299 digits is the longest number read at the default limit, so
+    # these pass the digit scan and must meet the bounds
     bad = tmp_path / "huge.fib"
     for text, message in (
         (
-            "[branch A] va=0 vb=0 vdelta=" + "9" * 4300 + "\n",
+            "[branch A] va=0 vb=0 vdelta=" + "9" * 4299 + "\n",
             f"line 1, col 22: vdelta exceeds the limit of {MAX_FIBRE_INDEX} (MAX_FIBRE_INDEX)",
         ),
         (
@@ -558,7 +588,7 @@ def test_report_refuses_huge_fibre_index_and_exponent(tmp_path, capsys):
             f"line 1, col 22: vdelta exceeds the limit of {MAX_FIBRE_INDEX} (MAX_FIBRE_INDEX)",
         ),
         (
-            "[weierstrass] a = s^" + "9" * 4300 + " b = 1\n",
+            "[weierstrass] a = s^" + "9" * 4299 + " b = 1\n",
             f"line 1, col 19: exponent exceeds the limit of {MAX_EXPONENT} (MAX_EXPONENT)",
         ),
         (
@@ -596,8 +626,8 @@ def test_report_refuses_corank_too_long_to_print(tmp_path, capsys):
         if rc == EXIT_INPUT:
             assert out == ""
             assert _single_error_line(capsys) == (
-                f"error: line 2, col 12: b2_X of {limit} digits exceeds the limit "
-                f"of {limit - 1} digits for [topology] values in {path}"
+                f"error: line 2, col 17: number of {limit} digits exceeds the limit "
+                f"of {limit - 1} digits in {path}"
             )
         else:
             assert f"corank of the Tate-Shafarevich group: 1{'9' * (limit - 2)}8\n" in out
@@ -683,7 +713,7 @@ def test_report_attached_presentation_faults_name_the_file(tmp_path, capsys):
         assert capsys.readouterr().err == ""
         (error,) = json.loads(out)["errors"]
         assert (error["subject"], error["kind"]) == ("collision N2+D0", "ParseError")
-        if message is None:  # int()'s own words for a literal past its limit
+        if message is None:  # the digit rule's words for a literal past its limit
             assert f"{len(big)} digits" in error["message"]
             assert error["message"].endswith(f" in {bad}")
         else:
@@ -700,7 +730,7 @@ def test_sha_local_refuses_unknown_fibre_types(tmp_path, capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:  # an index is read as on the command line, in the same words
         cases.append(("I" + "7" * limit,
-                      f"fibre type index of {limit} digits exceeds the limit of {limit - 1} digits"))
+                      f"number of {limit} digits exceeds the limit of {limit - 1} digits"))
     for name, reason in cases:
         data["pair"][0] = data["branches"][0]["fibre_type"] = name
         bad = tmp_path / "bad.json"

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ellfib import parser, poly
-from ellfib.errors import ParseError, ValidationError
+from ellfib.errors import ParseError
 from ellfib.parser import (
     AXIS_BRANCH_NAMES,
     MAX_DENOMINATOR_DIGITS,
@@ -205,8 +205,10 @@ def test_digits_int_cannot_read_are_diagnosed():
     (["[branch B] va= vb=0 vdelta=1"], (2, 12, "va has an empty value")),
     (["[topology] b2_X= rho_X=20 b2_S=2 rho_S=1"], (2, 12, "b2_X has an empty value")),
     (["[topology] b2_X=23 rho_X=20 b2_S=2 rho_S="], (2, 36, "rho_S has an empty value")),
+    (["[collision] A B  presentation= "], (2, 18, "presentation has an empty value")),
 ], ids=["topology-leftover-text", "topology-repeated-key", "second-topology", "second-picard-degrees",
-        "branch-empty-value", "topology-empty-value", "topology-empty-last-value"])
+        "branch-empty-value", "topology-empty-value", "topology-empty-last-value",
+        "collision-empty-presentation"])
 def test_shared_section_diagnostics(lines, diagnostic):
     with pytest.raises(ParseError) as info:
         parse_description("\n".join(["[branch A] va=0 vb=0 vdelta=1", *lines]) + "\n")
@@ -253,7 +255,7 @@ def test_branch_valuations_are_bounded():
     for text, key, col in (
         (f"[branch A] va=0 vb=0 vdelta={MAX_FIBRE_INDEX + 1}\n", "vdelta", 22),
         (f"[branch A] va=0  vb={10**40} vdelta=0\n", "vb", 18),
-        ("[branch A] va=" + "9" * 4300 + " vb=0 vdelta=0\n", "va", 12),
+        ("[branch A] va=" + "9" * 4299 + " vb=0 vdelta=0\n", "va", 12),
     ):
         with pytest.raises(ParseError) as info:
             parse_description(text)
@@ -330,7 +332,7 @@ def test_denominator_lcm_is_bounded():
     d = 10**2200 + 1
     model = parse_description(f"[weierstrass] a = 1/{d}*s b = 2/{d}*t\n").model
     assert (model.a, model.b) == ({(1, 0): d**3}, {(0, 1): 2 * d**5})
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(ParseError) as info:
         parse_description(f"[weierstrass] a = 1/{d}*s b = 1/{d + 2}*t\n")
     (diag,) = info.value.diagnostics
     assert (diag.line, diag.column) == (1, 1)
@@ -352,7 +354,7 @@ def test_integral_model_size_is_bounded():
         # the bound comes before the check that Delta vanishes
         (f"-3*{power_of_two(MAX_MODEL_BITS)}*s^2", f"2*{power_of_two(3 * MAX_MODEL_BITS // 2)}*s^3"),
     ):
-        with pytest.raises(ValidationError) as info:
+        with pytest.raises(ParseError) as info:
             parse_description(f"[branch A] va=0 vb=0 vdelta=1\n\n[weierstrass] a = {a} b = {b}\n")
         assert [(d.line, d.column, d.message) for d in info.value.diagnostics] == [
             (3, 1, "[weierstrass] and [branch] modes cannot be mixed"),
@@ -373,25 +375,25 @@ def test_multiple_syntax_errors_are_collected():
 
 def test_semantic_validation_branch_mode():
     # duplicate names
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(ParseError) as info:
         parse_description(
             "[branch A] va=0 vb=0 vdelta=1\n[branch A] va=0 vb=0 vdelta=2\n"
         )
     assert "declared twice" in str(info.value)
     # reserved axis names
     for name in AXIS_BRANCH_NAMES:
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParseError):
             parse_description(f"[branch {name}] va=0 vb=0 vdelta=1\n")
     # undeclared collision reference
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(ParseError) as info:
         parse_description("[branch A] va=0 vb=0 vdelta=1\n[collision] A B\n")
     assert "undeclared branch 'B'" in str(info.value)
     # self-collision
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(ParseError) as info:
         parse_description("[branch A] va=0 vb=0 vdelta=1\n[collision] A A\n")
     assert "two distinct branches" in str(info.value)
     # empty input
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError):
         parse_description("")
 
 
@@ -410,17 +412,17 @@ def test_parse_weierstrass_mode():
 
 def test_weierstrass_mode_validation():
     # mixing modes
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(ParseError) as info:
         parse_description(
             "[branch A] va=0 vb=0 vdelta=1\n[weierstrass] a = s b = t\n"
         )
     assert "cannot be mixed" in str(info.value)
     # degenerate model: 4 a^3 + 27 b^2 = 0
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(ParseError) as info:
         parse_description("[weierstrass] a = -3*t^2 b = 2*t^3\n")
     assert "vanishes identically" in str(info.value)
     # collisions must reference the axis branches
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(ParseError) as info:
         parse_description("[weierstrass] a = s b = t\n[collision] s-axis x-axis\n")
     assert "s-axis" in str(info.value) and "t-axis" in str(info.value)
     # a second model
