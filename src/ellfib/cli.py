@@ -8,6 +8,7 @@ collisions, bad presentation data, ...).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -25,16 +26,10 @@ from .collisions import (
     multiple_fibre_verdict,
 )
 from .errors import FibrationError, ParseError, naming_input
-from .parser import parse_description, read_integer, read_nonnegative, read_valuation
+from .parser import parse_description
 from .presentations import load_presentation_file, load_presentations, local_sha_with_witnesses
-from .weierstrass import (
-    KodairaType,
-    ValuationProfile,
-    classify,
-    j_valuation,
-    minimalize,
-    render_valuation,
-)
+from .readers import read_integer, read_nonnegative, read_valuation, render_valuation
+from .weierstrass import KodairaType, ValuationProfile, classify, j_valuation, minimalize
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -42,7 +37,7 @@ EXIT_ENGINE = 2
 
 
 def _argument(read):
-    """An argparse type over read, one of the parser's readers (so an
+    """An argparse type over read, one of ellfib.readers' readers (so an
     argument takes what a file takes in its role) or KodairaType.parse."""
     def convert(text: str):
         try:
@@ -254,7 +249,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    with contextlib.redirect_stdout(out):  # -h prints its help to sys.stdout
+        args = ap.parse_args(argv)
     try:
         return args.func(args, out)
     except ParseError as exc:

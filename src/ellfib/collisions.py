@@ -29,8 +29,8 @@ from .errors import (
     ProfileInconsistent,
 )
 from .exact_linalg import DivisibleGroup
+from .readers import INFINITY
 from .weierstrass import (
-    INFINITY,
     KodairaType,
     ValuationProfile,
     classify,

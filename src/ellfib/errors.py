@@ -104,7 +104,7 @@ def naming_input(path):
     diagnostics of a ParseError and the message of a
     PresentationInconsistent, and turn a JSON or UTF-8 decoding failure,
     JSON nested deeper than the decoder recurses or a JSON integer that
-    parser.read_integer refuses into a ParseError.  Files must be read
+    readers.read_integer refuses into a ParseError.  Files must be read
     whole, so that the decoder's byte offset is an offset into the file."""
     try:
         yield

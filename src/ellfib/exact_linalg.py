@@ -12,7 +12,7 @@ qz_kernel needs D alone; it runs the loop on a copy of the matrix and
 drops the record of elementary operations that the loop appends to.
 smith_normal_form keeps it; each of U, V and their inverses is built on
 first read by replaying that record onto an identity matrix.  Every caller
-reads one or two of the four: cokernel_chart reads U^-1, and
+reads one or two of the four: kodaira.reduced_pairing reads V^-1, and
 induced_kernel_with_witnesses reads U of R and U^-1 of M0 for the
 cokernel coordinates and V^-1 of the induced block for the witnesses.
 
@@ -34,10 +34,8 @@ __all__ = [
     "IntMatrix",
     "SmithDecomposition",
     "DivisibleGroup",
-    "CokernelChart",
     "smith_normal_form",
     "qz_kernel",
-    "cokernel_chart",
     "induced_kernel_with_witnesses",
 ]
 
@@ -74,10 +72,6 @@ class IntMatrix:
         else:
             width = 0 if cols is None else cols
         return cls(len(rows), width, tuple(e for r in rows for e in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
@@ -347,13 +341,6 @@ class DivisibleGroup:
         n = abs(n)
         return cls(0, (n,) if n > 1 else ())
 
-    def order(self) -> int:
-        """Order of the finite part (the whole group when finite)."""
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
-
     def __str__(self) -> str:
         parts = []
         if self.divisible_rank:
@@ -373,38 +360,6 @@ def qz_kernel(b: IntMatrix) -> DivisibleGroup:
     rank = _diagonalize(d, [])
     factors = tuple(d[i][i] for i in range(rank) if d[i][i] > 1)
     return DivisibleGroup(b.cols - rank, factors)
-
-
-@dataclass(frozen=True)
-class CokernelChart:
-    """Coordinates for coker((Q/Z)^k --R--> (Q/Z)^ambient).
-
-    Since nonzero integers act surjectively on Q/Z, the image of R in
-    Smith coordinates is "first rank coordinates arbitrary, rest zero".
-    The quotient is therefore a copy of (Q/Z)^(ambient - rank) read off
-    from the last coordinates of basis_transform = U^-1 applied to a
-    representative vector.
-    """
-
-    basis_transform: IntMatrix
-    rank: int
-    ambient_dim: int
-
-    def quotient_coordinates(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Class of a rational vector in the quotient, as the last
-        ambient - rank Smith coordinates reduced mod 1."""
-        if len(vec) != self.ambient_dim:
-            raise DimensionMismatch("representative has wrong length")
-        image = self.basis_transform.apply_to_rational([Fraction(x) for x in vec])
-        return tuple(x % 1 for x in image[self.rank :])
-
-    def same_class(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
-        return self.quotient_coordinates(x) == self.quotient_coordinates(y)
-
-
-def cokernel_chart(r: IntMatrix) -> CokernelChart:
-    dec = smith_normal_form(r)
-    return CokernelChart(basis_transform=dec.U_inv, rank=dec.rank, ambient_dim=r.rows)
 
 
 def induced_kernel_with_witnesses(

@@ -14,12 +14,9 @@ Shared sections:
       [topology] b2_X=23 rho_X=20 b2_S=2 rho_S=1
       [picard-degrees] 3 0
 
-Numbers, here, on the command line and in presentation JSON, are read
-by one reader per kind (read_valuation, read_nonnegative,
-read_integer): str.isdecimal() digits, '-' before an integer, and 'inf'
-or 'infinity' in any case for an infinite valuation; other text raises
-ValueError.  Every number, and every run of digits on a line, has fewer
-digits than int() reads (weierstrass.check_digits).  [branch]
+Numbers are read as on the command line and in presentation JSON, by
+the readers of ellfib.readers; every run of digits on a line, too, has
+fewer digits than int() reads (readers.check_digits).  [branch]
 valuations are at most MAX_FIBRE_INDEX.
 Polynomials use infix syntax over s and t with integer or ratio
 coefficients, explicit '*' between factors and '^' for powers; the
@@ -39,7 +36,8 @@ from fractions import Fraction
 
 from . import poly
 from .errors import DegenerateModel, Diagnostic, ParseError
-from .weierstrass import DIGIT_LIMIT, INFINITY, WeierstrassPolyModel, check_digits
+from .readers import DIGIT_LIMIT, INFINITY, check_digits, read_integer, read_nonnegative, read_valuation
+from .weierstrass import WeierstrassPolyModel
 
 __all__ = [
     "BranchDecl",
@@ -47,9 +45,6 @@ __all__ = [
     "FibrationDescription",
     "parse_description",
     "parse_polynomial",
-    "read_valuation",
-    "read_nonnegative",
-    "read_integer",
     "AXIS_BRANCH_NAMES",
     "MAX_FIBRE_INDEX",
     "MAX_EXPONENT",
@@ -136,33 +131,6 @@ class FibrationDescription:
 # A run of digits check_digits refuses; the lookbehind tries each run
 # once, so the scan stays linear
 _TOO_LONG = re.compile(rf"(?<!\d)\d{{{DIGIT_LIMIT},}}") if DIGIT_LIMIT else None
-
-
-def read_nonnegative(text: str) -> int:
-    """A [topology] value, a corank argument or a command-line vdelta."""
-    if not text.isdecimal():
-        raise ValueError(f"expected a nonnegative integer, got {text!r}")
-    check_digits(text)
-    return int(text)
-
-
-def read_valuation(text: str):
-    """A valuation of a or b (in a file, of the discriminant too)."""
-    if text.lower() in ("inf", "infinity"):
-        return INFINITY
-    if not text.isdecimal():
-        raise ValueError(f"expected a nonnegative integer or 'inf', got {text!r}")
-    return read_nonnegative(text)
-
-
-def read_integer(text: str) -> int:
-    """A [picard-degrees] entry, a delta-gcd argument or an integer in
-    presentation JSON."""
-    digits = text[1:] if text[:1] == "-" else text
-    if not digits.isdecimal():
-        raise ValueError(f"expected an integer, got {text!r}")
-    check_digits(digits)
-    return int(text)
 
 
 # Each factor is one match: INT [/ INT] or s|t [^ INT], then the operator

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import PresentationInconsistent, naming_input
 from .exact_linalg import DivisibleGroup, IntMatrix, induced_kernel_with_witnesses
-from .parser import read_integer
+from .readers import read_integer
 from .weierstrass import KodairaType
 
 # Most central components, and most divisors over all branches, that a

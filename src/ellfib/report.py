@@ -33,13 +33,8 @@ from .presentations import (
     load_presentations,
     local_sha_with_witnesses,
 )
-from .weierstrass import (
-    ValuationProfile,
-    axis_profile,
-    j_valuation,
-    minimalize,
-    render_valuation,
-)
+from .readers import render_valuation
+from .weierstrass import ValuationProfile, axis_profile, j_valuation, minimalize
 
 __all__ = ["analyze", "render_text", "render_json"]
 

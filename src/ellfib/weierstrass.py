@@ -18,36 +18,15 @@ import functools
 import math
 import random
 import re
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import poly
 from .errors import DegenerateModel, InvalidProfile, NotMinimal
-
-INFINITY = float("inf")
-
-# int() refuses decimal text of more digits than this (0: no limit).
-# Read once, at import: a later sys.set_int_max_str_digits() is not seen.
-DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def check_digits(digits: str) -> None:
-    """Raise ValueError unless digits has fewer digits than int() reads:
-    the one rule for every number ellfib reads, so that a sum of two, or
-    an index plus 5, still prints."""
-    if DIGIT_LIMIT and len(digits) >= DIGIT_LIMIT:
-        raise ValueError(f"number of {len(digits)} digits exceeds the limit of {DIGIT_LIMIT - 1} digits")
-
+from .readers import INFINITY, read_nonnegative
 
 _STAR_KINDS = ("I", "I*")
 _FIXED_KINDS = ("II", "III", "IV", "IV*", "III*", "II*")
-
-
-def render_valuation(v):
-    """A valuation as it is printed: "inf" for INFINITY, a finite one as
-    the int itself, so it reads the same in text and in JSON."""
-    return "inf" if v == INFINITY else v
 
 
 def _check_valuation(v, name: str):
@@ -77,15 +56,14 @@ class KodairaType:
     @classmethod
     def parse(cls, text: str) -> "KodairaType":
         """The type text names, spelled as str() spells it up to leading
-        zeros of the index, whose digits check_digits bounds."""
+        zeros of the index, which read_nonnegative reads."""
         text = text.strip()
         if text in _FIXED_KINDS:
             return cls(text)
         m = re.fullmatch(r"I(\d+)(\*)?", text)
         if not m:
             raise ValueError(f"cannot parse fibre type {text!r}")
-        check_digits(m[1])
-        return cls("I*" if m[2] else "I", int(m[1]))
+        return cls("I*" if m[2] else "I", read_nonnegative(m[1]))
 
     @property
     def is_smooth(self) -> bool:

@@ -3,16 +3,22 @@ fibre type, small enumerations used by several test modules, the
 polynomial oracles (powers and the fully expanded discriminant) that the
 library's leading-term reads are checked against, the canonical text
 forms that the parser's round trips are checked against, the token
-parser that the one-pass polynomial scanner is checked against, and
-polynomial text for a coefficient of a given size (`power_of_two`)."""
+parser that the one-pass polynomial scanner is checked against,
+polynomial text for a coefficient of a given size (`power_of_two`), and
+the cokernel chart that witnesses of a local group are checked with
+(`cokernel_chart`)."""
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from ellfib import poly
-from ellfib.errors import Diagnostic, ParseError
+from ellfib.errors import Diagnostic, DimensionMismatch, ParseError
+from ellfib.exact_linalg import IntMatrix, smith_normal_form
 from ellfib.parser import MAX_EXPONENT, MAX_TERMS
-from ellfib.weierstrass import KodairaType, ValuationProfile, render_valuation
+from ellfib.readers import render_valuation
+from ellfib.weierstrass import KodairaType, ValuationProfile
 
 # One minimal profile classifying to each type; for the I and I* series
 # the profile depends on the index.
@@ -248,3 +254,35 @@ def parse_polynomial_tokens(text: str, line: int = 0, col_offset: int = 0) -> po
             fail(f"expected '+' or '-', got {tok!r}")
         take()
     return result
+
+
+@dataclass(frozen=True)
+class CokernelChart:
+    """Coordinates for coker((Q/Z)^k --R--> (Q/Z)^ambient).
+
+    Since nonzero integers act surjectively on Q/Z, the image of R in
+    Smith coordinates is "first rank coordinates arbitrary, rest zero".
+    The quotient is therefore a copy of (Q/Z)^(ambient - rank) read off
+    from the last coordinates of basis_transform = U^-1 applied to a
+    representative vector.
+    """
+
+    basis_transform: IntMatrix
+    rank: int
+    ambient_dim: int
+
+    def quotient_coordinates(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """Class of a rational vector in the quotient, as the last
+        ambient - rank Smith coordinates reduced mod 1."""
+        if len(vec) != self.ambient_dim:
+            raise DimensionMismatch("representative has wrong length")
+        image = self.basis_transform.apply_to_rational([Fraction(x) for x in vec])
+        return tuple(x % 1 for x in image[self.rank :])
+
+    def same_class(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
+        return self.quotient_coordinates(x) == self.quotient_coordinates(y)
+
+
+def cokernel_chart(r: IntMatrix) -> CokernelChart:
+    dec = smith_normal_form(r)
+    return CokernelChart(basis_transform=dec.U_inv, rank=dec.rank, ambient_dim=r.rows)

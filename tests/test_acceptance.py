@@ -30,7 +30,7 @@ from ellfib.collisions import (
     multiple_fibre_verdict,
 )
 from ellfib.errors import NotMirandaAllowed, ProfileInconsistent
-from ellfib.exact_linalg import DivisibleGroup, IntMatrix, cokernel_chart, qz_kernel
+from ellfib.exact_linalg import DivisibleGroup, IntMatrix, qz_kernel
 from ellfib.kodaira import discriminant_group, sha_punctured_transverse
 from ellfib.parser import parse_description
 from ellfib.presentations import (
@@ -41,8 +41,8 @@ from ellfib.presentations import (
     load_presentations,
     local_sha_with_witnesses,
 )
+from ellfib.readers import INFINITY
 from ellfib.weierstrass import (
-    INFINITY,
     KodairaType,
     ValuationProfile,
     WeierstrassPolyModel,
@@ -52,7 +52,7 @@ from ellfib.weierstrass import (
     minimalize,
 )
 
-from support import discriminant, summed_profile_is_consistent
+from support import cokernel_chart, discriminant, summed_profile_is_consistent
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 

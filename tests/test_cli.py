@@ -22,7 +22,7 @@ from ellfib.parser import (
     parse_description,
 )
 from ellfib.presentations import MAX_PRESENTATION_ENTRY, MAX_PRESENTATION_SIZE
-from ellfib.weierstrass import INFINITY
+from ellfib.readers import INFINITY
 
 from support import power_of_two
 
@@ -105,6 +105,15 @@ def test_type_index_too_long_to_print(capsys):
     assert run("lattice", text) == (EXIT_ENGINE, "")
     assert _single_error_line(capsys).startswith(
         f"error: LatticeTooLarge: {text} has {int(text[1:-1]) + 5} components")
+
+
+def test_help_goes_to_out(capsys):
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "-h"], out=out)
+    assert exc.value.code == 0
+    assert out.getvalue().startswith("usage: ellfib classify")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_second_double_dash_is_a_usage_error(capsys):

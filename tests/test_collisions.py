@@ -35,7 +35,8 @@ from ellfib.errors import (
     ProfileInconsistent,
 )
 from ellfib.exact_linalg import DivisibleGroup
-from ellfib.weierstrass import INFINITY, KodairaType, ValuationProfile
+from ellfib.readers import INFINITY
+from ellfib.weierstrass import KodairaType, ValuationProfile
 
 from support import canonical_profile, summed_profile_is_consistent, types_with_index_up_to
 

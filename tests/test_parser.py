@@ -21,7 +21,8 @@ from ellfib.parser import (
     parse_description,
     parse_polynomial,
 )
-from ellfib.weierstrass import INFINITY, WeierstrassPolyModel, axis_profile
+from ellfib.readers import INFINITY
+from ellfib.weierstrass import WeierstrassPolyModel, axis_profile
 
 from support import (
     discriminant,

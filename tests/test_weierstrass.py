@@ -18,8 +18,8 @@ from ellfib.errors import (
     NotMinimal,
 )
 from ellfib.kodaira import euler_number
+from ellfib.readers import INFINITY
 from ellfib.weierstrass import (
-    INFINITY,
     KodairaType,
     ValuationProfile,
     WeierstrassPolyModel,
