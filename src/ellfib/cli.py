@@ -20,10 +20,8 @@ from .collisions import (
     blow_up,
     corank,
     delta_eta_gcd,
-    expected_local_sha,
-    is_miranda_allowed,
+    miranda_entry,
     miranda_reduce,
-    multiple_fibre_verdict,
 )
 from .errors import FibrationError, ParseError, naming_input
 from .parser import parse_description
@@ -117,7 +115,7 @@ def _cmd_blowup(args, out) -> int:
     else:
         for label, germ in (("left", point.left), ("right", point.right)):
             lt = germ.fibre_type
-            status = "allowed" if is_miranda_allowed(lt, rt) else "needs further blow-ups"
+            status = "allowed" if miranda_entry(lt, rt) is not None else "needs further blow-ups"
             print(f"{label} child: {lt} + {rt} ({status})", file=out)
     return EXIT_OK
 
@@ -138,15 +136,13 @@ def _cmd_sha_local(args, out) -> int:
     print(f"local sha: {group}", file=out)
     for w in witnesses:
         print(f"generator witness: ({', '.join(str(x) for x in w)})", file=out)
-    lt, rt = (KodairaType.parse(t) for t in pair)
-    try:
-        expected = expected_local_sha(lt, rt)
-        verdict = multiple_fibre_verdict(lt, rt)
-        agree = "agree" if expected == group else "DISAGREE"
-        print(f"registry: {expected} ({agree})", file=out)
+    entry = miranda_entry(*(KodairaType.parse(t) for t in pair))
+    if entry is not None:
+        registry, kind, obstruction = entry
+        agree = "agree" if registry == group else "DISAGREE"
+        print(f"registry: {registry} ({agree})", file=out)
+        verdict = kind if obstruction is None else f"{kind}({obstruction})"
         print(f"verdict: {verdict}", file=out)
-    except FibrationError:
-        pass
     return EXIT_OK
 
 

@@ -25,7 +25,6 @@ from .errors import (
     InvalidCollision,
     InvalidProfile,
     NegativeCorank,
-    NotMirandaAllowed,
     ProfileInconsistent,
 )
 from .exact_linalg import DivisibleGroup
@@ -43,12 +42,9 @@ __all__ = [
     "CollisionPoint",
     "BlowupNode",
     "BlowupTree",
-    "MultipleFibreVerdict",
-    "is_miranda_allowed",
+    "miranda_entry",
     "blow_up",
     "miranda_reduce",
-    "expected_local_sha",
-    "multiple_fibre_verdict",
     "corank",
     "delta_eta_gcd",
 ]
@@ -67,18 +63,20 @@ NO_MULTIPLE_FIBRE = "NoIsolatedMultipleFibre"
 POSSIBLY_OBSTINATE = "PossiblyObstinate"
 POSSIBLY_LOCALLY_TRIVIAL = "PossiblyLocallyTrivial"
 
+_NO_SHA = DivisibleGroup(0)
+_Z2 = DivisibleGroup.cyclic(2)
+
 # The resolvable pairs of fixed types (Miranda's list) with the two facts
-# attached to each: the order of the local Tate-Shafarevich group and the
-# kind of multiple-fibre verdict.  _resolvable adds the I+I and I+I*
-# families.
+# attached to each: the local Tate-Shafarevich group and the kind of
+# multiple-fibre verdict.  miranda_entry adds the I+I and I+I* families.
 _FIXED_PAIRS = {
     frozenset(map(KodairaType.parse, pair)): facts
     for pair, facts in (
-        (("II", "IV"), (1, NO_MULTIPLE_FIBRE)),
-        (("II", "I0*"), (1, NO_MULTIPLE_FIBRE)),
-        (("II", "IV*"), (1, NO_MULTIPLE_FIBRE)),
-        (("IV", "I0*"), (1, POSSIBLY_LOCALLY_TRIVIAL)),
-        (("III", "I0*"), (2, POSSIBLY_OBSTINATE)),
+        (("II", "IV"), (_NO_SHA, NO_MULTIPLE_FIBRE)),
+        (("II", "I0*"), (_NO_SHA, NO_MULTIPLE_FIBRE)),
+        (("II", "IV*"), (_NO_SHA, NO_MULTIPLE_FIBRE)),
+        (("IV", "I0*"), (_NO_SHA, POSSIBLY_LOCALLY_TRIVIAL)),
+        (("III", "I0*"), (_Z2, POSSIBLY_OBSTINATE)),
     )
 }
 
@@ -118,29 +116,30 @@ class CollisionPoint:
                 )
 
 
-def _resolvable(left: KodairaType, right: KodairaType) -> tuple[int, str] | None:
-    """(local Sha order, verdict kind) of a resolvable pair, in either
-    order; None when the pair is not on Miranda's list."""
+def miranda_entry(
+    left: KodairaType, right: KodairaType
+) -> tuple[DivisibleGroup, str, DivisibleGroup | None] | None:
+    """(local Sha, verdict kind, obstruction) of the unordered pair when it
+    is on Miranda's list (I+I, I+I*, II+IV, II+I0*, II+IV*, IV+I0*,
+    III+I0*), else None.  The local Sha is that of a small neighbourhood
+    of the resolved collision; the verdict says whether a torsor can
+    acquire an isolated multiple fibre over it, and an obstinate torsor
+    (nontrivial even locally) carries the local Sha as its obstruction."""
     for a, b in ((left, right), (right, left)):
         if a.is_multiplicative and b.is_multiplicative:
-            return 1, NO_MULTIPLE_FIBRE
+            sha, kind = _NO_SHA, NO_MULTIPLE_FIBRE
+            break
         if a.is_multiplicative and b.kind == "I*":
             # I_M1 + I*_M2 carries an obstinate Z/2 exactly when M1 is even
-            return (2, POSSIBLY_OBSTINATE) if a.index % 2 == 0 else (1, NO_MULTIPLE_FIBRE)
-    return _FIXED_PAIRS.get(frozenset((left, right)))
-
-
-def _resolvable_or_raise(left: KodairaType, right: KodairaType) -> tuple[int, str]:
-    facts = _resolvable(left, right)
-    if facts is None:
-        raise NotMirandaAllowed(f"{left} + {right} is not a resolvable collision")
-    return facts
-
-
-def is_miranda_allowed(left: KodairaType, right: KodairaType) -> bool:
-    """Whether the unordered type pair is directly resolvable:
-    I+I, I+I*, II+IV, II+I0*, II+IV*, IV+I0*, III+I0*."""
-    return _resolvable(left, right) is not None
+            even = a.index % 2 == 0
+            sha, kind = (_Z2, POSSIBLY_OBSTINATE) if even else (_NO_SHA, NO_MULTIPLE_FIBRE)
+            break
+    else:
+        facts = _FIXED_PAIRS.get(frozenset((left, right)))
+        if facts is None:
+            return None
+        sha, kind = facts
+    return sha, kind, sha if kind == POSSIBLY_OBSTINATE else None
 
 
 def blow_up(c: CollisionPoint) -> tuple[ValuationProfile, int]:
@@ -215,7 +214,7 @@ class BlowupTree:
 def _expand(left: BranchGerm, right: BranchGerm, depth: int, path: str) -> BlowupNode:
     if left.profile.vdelta == 0 or right.profile.vdelta == 0:
         return BlowupNode(left, right, depth, path, DISSOLVED)
-    if is_miranda_allowed(left.fibre_type, right.fibre_type):
+    if miranda_entry(left.fibre_type, right.fibre_type) is not None:
         return BlowupNode(left, right, depth, path, ALLOWED)
     if depth >= MAX_BLOWUP_DEPTH:
         raise DepthExceeded(
@@ -237,36 +236,6 @@ def miranda_reduce(collisions) -> list[BlowupTree]:
     crossing is allowed or dissolved.  Children are explored left first;
     paths longer than MAX_BLOWUP_DEPTH raise DepthExceeded."""
     return [BlowupTree(_expand(c.left, c.right, 0, "")) for c in collisions]
-
-
-def expected_local_sha(left: KodairaType, right: KodairaType) -> DivisibleGroup:
-    """Local Tate-Shafarevich group of a small neighbourhood of the
-    resolved collision, read off the resolvable-pair table."""
-    order, _ = _resolvable_or_raise(left, right)
-    return DivisibleGroup.cyclic(order)
-
-
-@dataclass(frozen=True)
-class MultipleFibreVerdict:
-    """Whether a torsor can acquire an isolated multiple fibre over the
-    collision: obstinate torsors (nontrivial even locally) carry the
-    local Sha as their obstruction; the resolvable-pair table says which
-    pairs admit which kind."""
-
-    kind: str
-    obstruction: DivisibleGroup | None = None
-
-    def __str__(self) -> str:
-        if self.obstruction is not None:
-            return f"{self.kind}({self.obstruction})"
-        return self.kind
-
-
-def multiple_fibre_verdict(left: KodairaType, right: KodairaType) -> MultipleFibreVerdict:
-    order, kind = _resolvable_or_raise(left, right)
-    if kind == POSSIBLY_OBSTINATE:
-        return MultipleFibreVerdict(kind, DivisibleGroup.cyclic(order))
-    return MultipleFibreVerdict(kind)
 
 
 def corank(b2_X: int, rho_X: int, b2_S: int, rho_S: int) -> int:

@@ -54,10 +54,6 @@ class DepthExceeded(FibrationError):
     """Blow-up worklist passed the configured depth bound."""
 
 
-class NotMirandaAllowed(FibrationError):
-    """The collision type is outside the resolvable list."""
-
-
 class LatticeTooLarge(FibrationError):
     """A fibre has more components than an explicit Gram matrix is built for."""
 

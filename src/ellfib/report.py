@@ -19,11 +19,10 @@ from .collisions import (
     BlowupNode,
     BranchGerm,
     CollisionPoint,
-    expected_local_sha,
     corank as corank_of,
     delta_eta_gcd,
+    miranda_entry,
     miranda_reduce,
-    multiple_fibre_verdict,
 )
 from .errors import FibrationError, PresentationInconsistent
 from .parser import AXIS_BRANCH_NAMES, CollisionDecl, FibrationDescription
@@ -110,13 +109,12 @@ def _leaf_json(
     group computed from pres when there is one."""
     lt, rt = leaf.type_pair()
     path, pair = leaf.path or "root", f"{lt}+{rt}"
-    verdict = multiple_fibre_verdict(lt, rt)
-    registry = expected_local_sha(lt, rt)
+    registry, kind, obstruction = miranda_entry(lt, rt)
     verdict_entry = {
         "path": path,
         "pair": pair,
-        "verdict": verdict.kind,
-        "obstruction": str(verdict.obstruction) if verdict.obstruction else None,
+        "verdict": kind,
+        "obstruction": None if obstruction is None else str(obstruction),
     }
     group = {
         "path": path,

@@ -55,9 +55,9 @@ class KodairaType:
 
     @classmethod
     def parse(cls, text: str) -> "KodairaType":
-        """The type text names, spelled as str() spells it up to leading
-        zeros of the index, which read_nonnegative reads."""
-        text = text.strip()
+        """The type text names, read as written: spelled as str() spells
+        it up to leading zeros of the index, which read_nonnegative reads,
+        with no whitespace around it."""
         if text in _FIXED_KINDS:
             return cls(text)
         m = re.fullmatch(r"I(\d+)(\*)?", text)

@@ -25,11 +25,10 @@ from ellfib.collisions import (
     BranchGerm,
     CollisionPoint,
     blow_up,
-    is_miranda_allowed,
+    miranda_entry,
     miranda_reduce,
-    multiple_fibre_verdict,
 )
-from ellfib.errors import NotMirandaAllowed, ProfileInconsistent
+from ellfib.errors import ProfileInconsistent
 from ellfib.exact_linalg import DivisibleGroup, IntMatrix, qz_kernel
 from ellfib.kodaira import discriminant_group, sha_punctured_transverse
 from ellfib.parser import parse_description
@@ -161,10 +160,8 @@ def test_criterion_03_multiple_fibre_verdict_census():
     )
     obstinate = locally_trivial = silent = disallowed = 0
     for lt, rt in itertools.combinations_with_replacement(universe, 2):
-        if not is_miranda_allowed(lt, rt):
-            for a, b in ((lt, rt), (rt, lt)):
-                with pytest.raises(NotMirandaAllowed):
-                    multiple_fibre_verdict(a, b)
+        if miranda_entry(lt, rt) is None:
+            assert miranda_entry(rt, lt) is None, (str(rt), str(lt))
             disallowed += 1
             continue
         names = {str(lt), str(rt)}
@@ -181,12 +178,12 @@ def test_criterion_03_multiple_fibre_verdict_census():
             expected = "NoIsolatedMultipleFibre"
             silent += 1
         for a, b in ((lt, rt), (rt, lt)):
-            verdict = multiple_fibre_verdict(a, b)
-            assert verdict.kind == expected, (str(a), str(b))
+            _, kind, obstruction = miranda_entry(a, b)
+            assert kind == expected, (str(a), str(b))
             if expected == "PossiblyObstinate":
-                assert verdict.obstruction == DivisibleGroup.cyclic(2)
+                assert obstruction == DivisibleGroup.cyclic(2)
             else:
-                assert verdict.obstruction is None
+                assert obstruction is None
     # census: 21 I_even+I* pairs plus III+I0*; IV+I0* alone; the rest of
     # the allowed pairs are quiet; everything else is out of scope
     assert (obstinate, locally_trivial) == (22, 1)
@@ -311,7 +308,7 @@ def test_criterion_08_reduction_termination():
             for leaf in tree.leaves():
                 assert leaf.status in ("allowed", "dissolved")
                 if leaf.status == "allowed":
-                    assert is_miranda_allowed(*leaf.type_pair())
+                    assert miranda_entry(*leaf.type_pair()) is not None
             terminated += 1
         else:
             with pytest.raises(ProfileInconsistent):

@@ -85,6 +85,16 @@ def test_lattice_command_refuses_huge_types(capsys):
         )
 
 
+def test_type_argument_is_read_as_written(capsys):
+    # whitespace around a type is refused, as around a number
+    for command in ("lattice", "sha-punctured"):
+        with pytest.raises(SystemExit) as exc:
+            run(command, " I3 ")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"ellfib {command}: error: argument type: cannot parse fibre type ' I3 '"
+
+
 def test_type_index_too_long_to_print(capsys):
     # I_N* has N + 5 components: with N of 4300 nines the count has 4301
     # digits, more than str() converts at the default limit, so an index
@@ -244,6 +254,17 @@ def test_sha_local_command(tmp_path):
         "branches": [{"fibre_type": "II", "divisors": [{"m": 1, "r": 1, "incidence": [1]}]}] * 2,
     }), encoding="utf-8")
     assert run("sha-local", str(off_list)) == (EXIT_OK, "local sha: 0\n")
+    # a pair on the list whose verdict carries no obstruction
+    quiet = tmp_path / "iv_i0star.json"
+    quiet.write_text(json.dumps({
+        "pair": ["IV", "I0*"],
+        "central_multiplicities": [1],
+        "branches": [{"fibre_type": t, "divisors": [{"m": 1, "r": 1, "incidence": [1]}]}
+                     for t in ("IV", "I0*")],
+    }), encoding="utf-8")
+    assert run("sha-local", str(quiet)) == (
+        EXIT_OK, "local sha: 0\nregistry: 0 (agree)\nverdict: PossiblyLocallyTrivial\n"
+    )
 
 
 def test_sha_punctured_command():
@@ -735,7 +756,7 @@ def test_report_attached_presentation_faults_name_the_file(tmp_path, capsys):
 
 def test_sha_local_refuses_unknown_fibre_types(tmp_path, capsys):
     data = json.loads((CORPUS / "presentations" / "i2_i0star.json").read_text(encoding="utf-8"))
-    cases = [("XYZ", "cannot parse fibre type 'XYZ'")]
+    cases = [("XYZ", "cannot parse fibre type 'XYZ'"), (" I2", "cannot parse fibre type ' I2'")]
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:  # an index is read as on the command line, in the same words
         cases.append(("I" + "7" * limit,

@@ -13,17 +13,14 @@ from ellfib.collisions import (
     DISSOLVED,
     BranchGerm,
     CollisionPoint,
-    MultipleFibreVerdict,
     NO_MULTIPLE_FIBRE,
     POSSIBLY_LOCALLY_TRIVIAL,
     POSSIBLY_OBSTINATE,
     blow_up,
     corank,
     delta_eta_gcd,
-    expected_local_sha,
-    is_miranda_allowed,
+    miranda_entry,
     miranda_reduce,
-    multiple_fibre_verdict,
 )
 from ellfib.errors import (
     AllZero,
@@ -31,7 +28,6 @@ from ellfib.errors import (
     FibrationError,
     InvalidCollision,
     NegativeCorank,
-    NotMirandaAllowed,
     ProfileInconsistent,
 )
 from ellfib.exact_linalg import DivisibleGroup
@@ -86,11 +82,11 @@ def test_miranda_allowed_patterns():
         ("III*", "I1"), ("I1", "II"), ("I2", "IV"),
     ]
     for a, b in allowed:
-        assert is_miranda_allowed(T(a), T(b)), f"{a}+{b} should be allowed"
-        assert is_miranda_allowed(T(b), T(a)), f"{b}+{a} should be allowed"
+        assert miranda_entry(T(a), T(b)) is not None, f"{a}+{b} should be allowed"
+        assert miranda_entry(T(b), T(a)) is not None, f"{b}+{a} should be allowed"
     for a, b in not_allowed:
-        assert not is_miranda_allowed(T(a), T(b)), f"{a}+{b} should not be allowed"
-        assert not is_miranda_allowed(T(b), T(a)), f"{b}+{a} should not be allowed"
+        assert miranda_entry(T(a), T(b)) is None, f"{a}+{b} should not be allowed"
+        assert miranda_entry(T(b), T(a)) is None, f"{b}+{a} should not be allowed"
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +106,7 @@ def test_blow_up_multiplicative_pairs_add_indices():
     # each branch now crosses the exceptional curve: I1 + I2, allowed
     child = CollisionPoint(point.left, BranchGerm("E", minimal))
     assert [str(g.fibre_type) for g in (child.left, child.right)] == ["I1", "I2"]
-    assert is_miranda_allowed(child.left.fibre_type, child.right.fibre_type)
+    assert miranda_entry(child.left.fibre_type, child.right.fibre_type) is not None
     assert _exceptional_type(_point("I2", "I3")) == "I5"
 
 
@@ -122,7 +118,7 @@ def test_blow_up_additive_examples():
     assert str(exceptional) == "IV"
     assert twists == 0
     for germ in (point.left, point.right):
-        assert is_miranda_allowed(germ.fibre_type, exceptional)
+        assert miranda_entry(germ.fibre_type, exceptional) is not None
     # I1 + I0*: summed profile (2, 3, 7) is type I1*
     assert _exceptional_type(_point("I1", "I0*")) == "I1*"
 
@@ -197,7 +193,7 @@ def test_reduce_deep_chain():
     # every leaf is either resolvable or has left the discriminant
     for leaf in tree.leaves():
         if leaf.status == ALLOWED:
-            assert is_miranda_allowed(*leaf.type_pair())
+            assert miranda_entry(*leaf.type_pair()) is not None
         else:
             assert leaf.left.profile.vdelta == 0 or leaf.right.profile.vdelta == 0
 
@@ -252,7 +248,7 @@ def test_reduce_sweep_small_indices():
         for b in types[i:]:
             pa, pb = canonical_profile(a), canonical_profile(b)
             point = CollisionPoint(BranchGerm("A", pa), BranchGerm("B", pb))
-            if is_miranda_allowed(a, b) or summed_profile_is_consistent(pa, pb):
+            if miranda_entry(a, b) is not None or summed_profile_is_consistent(pa, pb):
                 tree = miranda_reduce([point])[0]
                 assert tree.height() <= 5
                 assert all(n.status in (ALLOWED, DISSOLVED) for n in tree.leaves())
@@ -271,36 +267,30 @@ def test_reduce_sweep_small_indices():
 def test_expected_local_sha_table():
     T = KodairaType.parse
     z2 = DivisibleGroup.cyclic(2)
-    assert expected_local_sha(T("I2"), T("I0*")) == z2
-    assert expected_local_sha(T("I3*"), T("I4")) == z2
-    assert expected_local_sha(T("III"), T("I0*")) == z2
-    assert expected_local_sha(T("I1"), T("I0*")) == DivisibleGroup(0)
-    assert expected_local_sha(T("I1"), T("I2")) == DivisibleGroup(0)
-    assert expected_local_sha(T("IV"), T("I0*")) == DivisibleGroup(0)
-    assert expected_local_sha(T("II"), T("IV*")) == DivisibleGroup(0)
-    with pytest.raises(NotMirandaAllowed):
-        expected_local_sha(T("II"), T("II"))
+    assert miranda_entry(T("I2"), T("I0*"))[0] == z2
+    assert miranda_entry(T("I3*"), T("I4"))[0] == z2
+    assert miranda_entry(T("III"), T("I0*"))[0] == z2
+    assert miranda_entry(T("I1"), T("I0*"))[0] == DivisibleGroup(0)
+    assert miranda_entry(T("I1"), T("I2"))[0] == DivisibleGroup(0)
+    assert miranda_entry(T("IV"), T("I0*"))[0] == DivisibleGroup(0)
+    assert miranda_entry(T("II"), T("IV*"))[0] == DivisibleGroup(0)
+    assert miranda_entry(T("II"), T("II")) is None
 
 
 def test_multiple_fibre_verdicts():
     T = KodairaType.parse
-    v = multiple_fibre_verdict(T("I2"), T("I0*"))
-    assert v.kind == POSSIBLY_OBSTINATE
-    assert v.obstruction == DivisibleGroup.cyclic(2)
-    assert str(v) == "PossiblyObstinate(Z/2)"
-    assert multiple_fibre_verdict(T("I0*"), T("I6")).kind == POSSIBLY_OBSTINATE
-    assert multiple_fibre_verdict(T("III"), T("I0*")).kind == POSSIBLY_OBSTINATE
-    v = multiple_fibre_verdict(T("IV"), T("I0*"))
-    assert v.kind == POSSIBLY_LOCALLY_TRIVIAL
-    assert v.obstruction is None
-    assert str(v) == "PossiblyLocallyTrivial"
+    z2 = DivisibleGroup.cyclic(2)
+    # an obstinate verdict carries the local Sha as its obstruction
+    assert miranda_entry(T("I2"), T("I0*")) == (z2, POSSIBLY_OBSTINATE, z2)
+    assert miranda_entry(T("I0*"), T("I6"))[1] == POSSIBLY_OBSTINATE
+    assert miranda_entry(T("III"), T("I0*"))[1] == POSSIBLY_OBSTINATE
+    assert miranda_entry(T("IV"), T("I0*")) == (DivisibleGroup(0), POSSIBLY_LOCALLY_TRIVIAL, None)
     for pair in (("I1", "I0*"), ("I3", "I2*"), ("I1", "I1"), ("I2", "I2"),
                  ("II", "IV"), ("II", "I0*"), ("II", "IV*")):
-        verdict = multiple_fibre_verdict(T(pair[0]), T(pair[1]))
-        assert verdict.kind == NO_MULTIPLE_FIBRE
-        assert verdict.obstruction is None
-    with pytest.raises(NotMirandaAllowed):
-        multiple_fibre_verdict(T("IV"), T("IV"))
+        _, kind, obstruction = miranda_entry(T(pair[0]), T(pair[1]))
+        assert kind == NO_MULTIPLE_FIBRE
+        assert obstruction is None
+    assert miranda_entry(T("IV"), T("IV")) is None
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +332,22 @@ _POLICY_TYPES = (
 
 
 def test_collision_policy_fingerprint():
-    # one line per ordered pair: the gate, the local Sha and the verdict
-    # (or the class of the error each raises); the digest was taken from
-    # the three functions as they stood when each had its own case list
+    # one line per ordered pair: whether it is on Miranda's list, its
+    # local Sha and its verdict, spelled as three separate readers printed
+    # them when each had its own case list and an off-list pair raised an
+    # error of the class named below; the digest was taken from them
     digest = hashlib.sha256()
     allowed = 0
     for a in _POLICY_TYPES:
         for b in _POLICY_TYPES:
-            parts = [str(a), str(b), str(is_miranda_allowed(a, b))]
-            allowed += is_miranda_allowed(a, b)
-            for f in (expected_local_sha, multiple_fibre_verdict):
-                try:
-                    parts.append(str(f(a, b)))
-                except FibrationError as exc:
-                    parts.append(type(exc).__name__)
+            entry = miranda_entry(a, b)
+            if entry is None:
+                parts = [str(a), str(b), "False"] + ["NotMirandaAllowed"] * 2
+            else:
+                sha, kind, obstruction = entry
+                verdict = kind if obstruction is None else f"{kind}({obstruction})"
+                parts = [str(a), str(b), "True", str(sha), verdict]
+                allowed += 1
             digest.update((" ".join(parts) + "\n").encode())
     assert len(_POLICY_TYPES) ** 2 == 576 and allowed == 218
     assert digest.hexdigest() == (

@@ -1,7 +1,9 @@
 """The package's public names resolve: every module's __all__ names only
 attributes that exist, and every function the benchmark's tracer wraps
 by name exists.  The package root imports nothing, so importing one
-module loads only that module and what it imports."""
+module loads only that module and what it imports.  No name is dead:
+every import of a module is read there or exported, and every exception
+class of ellfib.errors is named by some other module."""
 
 import ast
 import importlib
@@ -16,6 +18,10 @@ import pytest
 import ellfib
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ellfib.__path__))
+SOURCES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted(pathlib.Path(ellfib.__path__[0]).glob("*.py"))
+}
 
 
 def _star_import(module_name: str) -> set[str]:
@@ -73,3 +79,50 @@ def test_traced_names_exist():
         if not callable(getattr(importlib.import_module(f"ellfib.{module}"), name, None))
     ]
     assert targets and missing == []
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]:
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_read():
+    # a name a module imports and neither reads nor exports is dead
+    unread = []
+    for module, tree in SOURCES.items():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{module}.{name}" for name in sorted(imported - read - _exported(tree))]
+    assert unread == []
+
+
+def test_every_error_class_is_named_elsewhere():
+    # an exception class that no other module raises, catches or names
+    # is dead
+    errors = importlib.import_module("ellfib.errors")
+    classes = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+        and value.__module__ == errors.__name__
+    }
+    named = set()
+    for module, tree in SOURCES.items():
+        if module != "errors":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name)
+    assert len(classes) > 1 and sorted(classes - named) == []

@@ -39,7 +39,10 @@ from support import canonical_profile, discriminant, types_with_index_up_to
 def test_kodaira_type_parse_and_str():
     for text in ("I0", "I1", "I12", "I0*", "I3*", "II", "III", "IV", "IV*", "III*", "II*"):
         assert str(KodairaType.parse(text)) == text
-    assert KodairaType.parse(" IV* ") == KodairaType("IV*")
+    # a type is read as written: whitespace around it is not stripped
+    for text in (" IV* ", " I3", "I3 ", "I3\n"):
+        with pytest.raises(ValueError, match="cannot parse fibre type"):
+            KodairaType.parse(text)
     with pytest.raises(ValueError):
         KodairaType.parse("V")
     with pytest.raises(ValueError):
