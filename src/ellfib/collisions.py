@@ -256,10 +256,7 @@ def corank(b2_X: int, rho_X: int, b2_S: int, rho_S: int) -> int:
 def delta_eta_gcd(fibre_degrees) -> int:
     """gcd of the absolute degrees of a multisection against the fibre;
     the generic Tate-Shafarevich obstruction is killed by this integer."""
-    degs = [abs(d) for d in fibre_degrees]
-    if not degs or all(d == 0 for d in degs):
+    degs = tuple(fibre_degrees)
+    if not any(degs):
         raise AllZero("need at least one nonzero fibre degree")
-    g = 0
-    for d in degs:
-        g = gcd(g, d)
-    return g
+    return gcd(*degs)

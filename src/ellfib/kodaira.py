@@ -19,7 +19,6 @@ tests check the closed forms against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import LatticeTooLarge, LengthMismatch
 from .exact_linalg import DivisibleGroup, IntMatrix, smith_normal_form
@@ -35,7 +34,6 @@ __all__ = [
     "discriminant_group",
     "reduced_pairing",
     "sha_punctured_transverse",
-    "fibre_degree_gcd",
 ]
 
 
@@ -200,22 +198,3 @@ def sha_punctured_transverse(ft: KodairaType) -> DivisibleGroup:
         return DivisibleGroup(1, d.invariant_factors)
     return d
 
-
-def fibre_degree_gcd(multiplicities, degrees) -> int:
-    """gcd of m_i * deg_i over the components of one fibre: the integer
-    that kills the local Tate-Shafarevich kernel when a horizontal
-    divisor meets the components with the given degrees."""
-    mult = list(multiplicities)
-    deg = list(degrees)
-    if not mult or len(mult) != len(deg):
-        raise LengthMismatch(
-            f"got {len(mult)} multiplicities and {len(deg)} degrees"
-        )
-    if any(m < 1 for m in mult):
-        raise ValueError("multiplicities must be >= 1")
-    if any(d < 0 for d in deg):
-        raise ValueError("degrees must be >= 0")
-    g = 0
-    for m, d in zip(mult, deg):
-        g = gcd(g, m * d)
-    return g

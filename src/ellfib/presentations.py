@@ -36,11 +36,11 @@ from .weierstrass import KodairaType
 # may hold.  Central multiplicities need no bound of their own: the
 # bookkeeping identity ties them to the bounded entries.  The cost of the
 # kernel grows faster than cubically on dense data: `sha-local` on a
-# dense 64 x 64 one-branch presentation takes about 0.4 s with entries
-# 1-9 and 2.3 s with entries 1-99, and an 80 x 80 one with entries 1-9
-# takes 2.3 s (one core of a shared 2-core machine, Python 3.11).  The
-# shipped I2 + I0* has 6 central components, 7 divisors and entries of
-# at most 2.
+# dense 64 x 64 one-branch presentation, every m, r and incidence entry
+# drawn by random.Random(1) or (2), takes 0.7-1.3 s with entries 1-9 and
+# 4.1-5.8 s with entries 1-99 (one core of a shared 2-core machine,
+# Python 3.11).  In every presentation miranda_presentation builds, each
+# m, r and incidence entry is at most 2.
 MAX_PRESENTATION_SIZE = 64
 MAX_PRESENTATION_ENTRY = 99
 
@@ -52,6 +52,7 @@ __all__ = [
     "CollisionPresentation",
     "assemble",
     "local_sha_with_witnesses",
+    "miranda_presentation",
     "presentation_from_dict",
     "load_presentation_file",
     "load_presentations",
@@ -131,29 +132,16 @@ class CollisionPresentation:
                     f"but the central fibre is {self.central_multiplicities}"
                 )
 
-    @property
-    def divisor_count(self) -> int:
-        return sum(len(br.divisors) for br in self.branches)
-
 
 def assemble(p: CollisionPresentation) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     """The four matrices (R, N, M0, Sigma) of the commuting square."""
-    c = len(p.central_multiplicities)
-    total = p.divisor_count
-    k = len(p.branches)
-    r_rows = [[0] * k for _ in range(total)]
-    n_cols: list[tuple[int, ...]] = []
-    row = 0
-    for bi, br in enumerate(p.branches):
-        for dv in br.divisors:
-            r_rows[row][bi] = dv.m * dv.r
-            n_cols.append(dv.incidence)
-            row += 1
-    r = IntMatrix.from_rows(r_rows, cols=k)
-    n = IntMatrix(c, total, tuple(n_cols[j][i] for i in range(c) for j in range(total)))
-    m0 = IntMatrix.column(p.central_multiplicities)
-    sigma = IntMatrix(1, k, (1,) * k)
-    return r, n, m0, sigma
+    c, k = len(p.central_multiplicities), len(p.branches)
+    rows = [(bi, dv) for bi, br in enumerate(p.branches) for dv in br.divisors]
+    r = IntMatrix.from_rows(
+        [[dv.m * dv.r if j == bi else 0 for j in range(k)] for bi, dv in rows], cols=k
+    )
+    n = IntMatrix(c, len(rows), tuple(dv.incidence[i] for i in range(c) for _, dv in rows))
+    return r, n, IntMatrix.column(p.central_multiplicities), IntMatrix(1, k, (1,) * k)
 
 
 def local_sha_with_witnesses(
@@ -165,45 +153,75 @@ def local_sha_with_witnesses(
     return induced_kernel_with_witnesses(*assemble(p))
 
 
-def _e(c: int, *idx: int) -> tuple[int, ...]:
-    out = [0] * c
-    for i in idx:
-        out[i] += 1
-    return tuple(out)
+def miranda_presentation(left: KodairaType, right: KodairaType) -> CollisionPresentation | None:
+    """Miranda's resolution of an I_M1 + I_M2 or I_2k + I*_M collision as
+    a presentation, the same in either argument order; None for any other
+    pair, or past MAX_PRESENTATION_SIZE.
+
+    I_M1 + I_M2 (built with M1 <= M2): at the node the model is toric,
+    uv = s^M1 t^M2, and Miranda's smooth model makes each exceptional
+    surface over a branch a P^1-bundle over it, so it meets the central
+    cycle c_0 ... c_(M1+M2-1) in one curve: c_1 ... c_(M1-1) for I_M1,
+    c_(M1+1) ... for I_M2, the two chains meeting at c_M1.  A branch's
+    identity surface cuts out the rest: c_0 (the nodal fibre's strict
+    transform) and the other branch's arc up to c_M1.  Every m, r is 1.
+
+    I_2k + I*_M, N = k + M: on the double cover branched along the I*_M
+    branch it is I_2k + I_2M, cycle C_0 ... C_(2N-1) as above with
+    M1 = 2k, and its model is that one's quotient by -1 on the fibres
+    over the deck involution: inversion on the I_2k fibres, so
+    C_i -> C_(2k-i), which keeps each branch's divisors.  The chain
+    g_j = {C_(k-j), C_(k+j)}, j = 0 ... N, has multiplicity 2; f1, f2
+    (f5, f6) come from the fixed points on C_k (C_(k+N)).  In the order f1, f2, g_0 ... g_N, f5, f6,
+    the I_2k branch has C_k's surface, f1 + f2 + 2 g_0; each swapped pair
+    {C_(k-i), C_(k+i)}, 0 < i < k, on g_i with r = 2; its identity
+    surface, 2(g_k + ... + g_N) + f5 + f6.  The I*_M branch is fixed
+    pointwise (r = 1; m = 2 on the chain): f1, f2; the I_2M identity
+    surface, which swept C_0 ... C_2k, on g_0 ... g_k; each later g_j;
+    f5, f6.  Odd M1 against I* is not built: inversion on an odd cycle
+    fixes a node, not a component.
+    """
+    a, b = sorted((left, right), key=lambda t: (t.kind != "I", t.index))
+    if not a.is_multiplicative or b.kind not in ("I", "I*") or (b.kind == "I*" and a.index % 2):
+        return None
+    # the larger of the counts of central components and of divisors,
+    # checked before anything of that size is built
+    k = a.index // 2
+    if (a.index + b.index if b.kind == "I" else k + b.index + 6) > MAX_PRESENTATION_SIZE:
+        return None
+    # each branch: its type and its divisors as (m, r, {component: incidence})
+    if b.kind == "I":
+        m1, c = a.index, a.index + b.index
+        central = (1,) * c
+        branches = (
+            (a, [(1, 1, {i: 1}) for i in range(1, m1)]
+             + [(1, 1, {i: 1 for i in range(c) if not 0 < i < m1})]),
+            (b, [(1, 1, {i: 1}) for i in range(m1 + 1, c)]
+             + [(1, 1, {i: 1 for i in range(m1 + 1)})]),
+        )
+    else:
+        n = k + b.index
+        c, g, f5, f6 = n + 5, range(2, n + 3), n + 3, n + 4  # g: the chain g_0 ... g_n
+        central = (1, 1) + (2,) * (n + 1) + (1, 1)
+        branches = (
+            (a, [(1, 1, {0: 1, 1: 1, g[0]: 2})] + [(1, 2, {g[i]: 1}) for i in range(1, k)]
+             + [(1, 1, {**{j: 2 for j in g[k:]}, f5: 1, f6: 1})]),
+            (b, [(1, 1, {0: 1}), (1, 1, {1: 1}), (2, 1, {j: 1 for j in g[: k + 1]})]
+             + [(2, 1, {j: 1}) for j in g[k + 1 :]] + [(1, 1, {f5: 1}), (1, 1, {f6: 1})]),
+        )
+    return CollisionPresentation(central, tuple(
+        BranchPresentation(str(t), tuple(
+            DivisorRecord(m, r, tuple(w.get(i, 0) for i in range(c))) for m, r, w in divisors
+        ))
+        for t, divisors in branches
+    ))
 
 
 @functools.cache
 def _shipped() -> tuple[tuple[frozenset[str], CollisionPresentation], ...]:
-    """The shipped (type pair, presentation) entries, validated once.
-
-    I2 + I0*: the resolved central fibre has six components with
-    multiplicities (1, 1, 2, 2, 1, 1).  The I2 branch sweeps two
-    divisors whose closures cut out f1 + f2 + 2 f3 and 2 f4 + f5 + f6;
-    the I0* branch sweeps its four outer components into f1, f2, f5, f6
-    and the doubled central component into f3 + f4.
-    """
-    i2_i0star = CollisionPresentation(
-        central_multiplicities=(1, 1, 2, 2, 1, 1),
-        branches=(
-            BranchPresentation(
-                "I2",
-                (
-                    DivisorRecord(1, 1, (1, 1, 2, 0, 0, 0)),
-                    DivisorRecord(1, 1, (0, 0, 0, 2, 1, 1)),
-                ),
-            ),
-            BranchPresentation(
-                "I0*",
-                (
-                    DivisorRecord(1, 1, _e(6, 0)),
-                    DivisorRecord(1, 1, _e(6, 1)),
-                    DivisorRecord(2, 1, _e(6, 2, 3)),
-                    DivisorRecord(1, 1, _e(6, 4)),
-                    DivisorRecord(1, 1, _e(6, 5)),
-                ),
-            ),
-        ),
-    )
+    """The shipped (type pair, presentation) entries, built once: I2 + I0*,
+    written out by hand in corpus/presentations/i2_i0star.json."""
+    i2_i0star = miranda_presentation(KodairaType("I", 2), KodairaType("I*", 0))
     return ((frozenset(("I2", "I0*")), i2_i0star),)
 
 

@@ -2,14 +2,16 @@
 attributes that exist, and every function the benchmark's tracer wraps
 by name exists.  The package root imports nothing, so importing one
 module loads only that module and what it imports.  No name is dead:
-every import of a module is read there or exported, and every exception
-class of ellfib.errors is named by some other module."""
+every import of a module is read there or exported, every exported
+function or class is read by a program, and every exception class of
+ellfib.errors is named by some other module."""
 
 import ast
 import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -65,10 +67,13 @@ def test_importing_one_module_loads_only_its_imports(module):
     assert run.stdout == f"{LOADED[module]}\n"
 
 
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
 def test_traced_names_exist():
     # the benchmark's tracer wraps these functions by name; read its
     # TARGETS table without importing the benchmark
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    path = PERFBENCH / "tracing.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     (targets,) = [
         ast.literal_eval(node.value) for node in tree.body
@@ -103,6 +108,29 @@ def test_every_import_is_read():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
         unread += [f"{module}.{name}" for name in sorted(imported - read - _exported(tree))]
+    assert unread == []
+
+
+def test_every_exported_function_and_class_is_read():
+    # a function or class in a module's __all__ that no program reads is
+    # dead: some package code outside its own definition (in its module
+    # or another) must name it, or some benchmark file; tests do not count
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py")))
+    refs = [
+        (id(ref), ref.id if isinstance(ref, ast.Name) else ref.attr)
+        for tree in SOURCES.values() for ref in ast.walk(tree)
+        if isinstance(ref, ast.Name) and isinstance(ref.ctx, ast.Load)
+        or isinstance(ref, ast.Attribute)
+    ]
+    unread = []
+    for module, tree in SOURCES.items():
+        exported = _exported(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in exported:
+                own = set(map(id, ast.walk(node)))
+                read = any(name == node.name and at not in own for at, name in refs)
+                if not read and not re.search(rf"\b{node.name}\b", bench):
+                    unread.append(f"{module}.{node.name}")
     assert unread == []
 
 

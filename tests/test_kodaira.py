@@ -19,7 +19,6 @@ from ellfib.kodaira import (
     component_count,
     discriminant_group,
     euler_number,
-    fibre_degree_gcd,
     lattice_data,
     multiplicities,
     reduced_pairing,
@@ -208,22 +207,3 @@ def test_sha_punctured_transverse_table():
         if ft.kind != "I":
             assert sha_punctured_transverse(ft) == expected[ft]
 
-
-def test_fibre_degree_gcd():
-    assert fibre_degree_gcd((2, 2, 4), (1, 3, 1)) == 2
-    assert fibre_degree_gcd((1,), (5,)) == 5
-    assert fibre_degree_gcd((2, 3), (0, 2)) == 6
-    assert fibre_degree_gcd((1, 1), (0, 0)) == 0
-    # I0*: a section through an outer component gives gcd 1, one through
-    # the doubled component gives 2
-    mult = lattice_data(KodairaType.parse("I0*")).multiplicities
-    assert fibre_degree_gcd(mult, (1, 0, 0, 0, 0)) == 1
-    assert fibre_degree_gcd(mult, (0, 0, 0, 0, 1)) == 2
-    with pytest.raises(LengthMismatch):
-        fibre_degree_gcd((1, 2), (1,))
-    with pytest.raises(LengthMismatch):
-        fibre_degree_gcd((), ())
-    with pytest.raises(ValueError):
-        fibre_degree_gcd((0, 1), (1, 1))
-    with pytest.raises(ValueError):
-        fibre_degree_gcd((1, 1), (-1, 1))

@@ -2,13 +2,17 @@
 local Tate-Shafarevich groups computed from them."""
 
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+from ellfib.collisions import miranda_entry
 from ellfib.errors import PresentationInconsistent
 from ellfib.exact_linalg import DivisibleGroup
+from ellfib.kodaira import component_count, multiplicities
 from ellfib.presentations import (
+    MAX_PRESENTATION_SIZE,
     BranchPresentation,
     CollisionPresentation,
     DivisorRecord,
@@ -16,10 +20,16 @@ from ellfib.presentations import (
     load_presentation_file,
     load_presentations,
     local_sha_with_witnesses,
+    miranda_presentation,
     presentation_from_dict,
 )
+from ellfib.weierstrass import KodairaType
 
-from support import cokernel_chart
+from support import cokernel_chart, types_with_index_up_to
+
+SHIPPED_FILE = (
+    pathlib.Path(__file__).resolve().parent.parent / "corpus" / "presentations" / "i2_i0star.json"
+)
 
 REFERENCE_WITNESS = (
     Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(1, 2),
@@ -270,10 +280,86 @@ def test_type_names_are_read_in_canonical_form(tmp_path):
 
 
 def test_shipped_presentation_file_matches_builtin():
-    import pathlib
-
-    here = pathlib.Path(__file__).resolve().parent.parent
-    shipped = here / "corpus" / "presentations" / "i2_i0star.json"
-    pair, pres = load_presentation_file(shipped)
+    pair, pres = load_presentation_file(SHIPPED_FILE)
     assert set(pair) == {"I2", "I0*"}
     assert pres == _i2_i0star()
+
+
+# ---------------------------------------------------------------------------
+# Miranda's construction
+
+
+def _census_pairs():
+    # I_M1 + I_M2 for M1, M2 <= 12, and I_2k + I*_M for k <= 6, M <= 6
+    for m1 in range(1, 13):
+        for m2 in range(1, 13):
+            yield KodairaType("I", m1), KodairaType("I", m2)
+    for k in range(1, 7):
+        for m in range(7):
+            yield KodairaType("I", 2 * k), KodairaType("I*", m)
+
+
+def test_miranda_presentation_census():
+    # the paper's local-Sha table, computed: each built presentation gives
+    # the group Miranda's list records, each witness w of an invariant
+    # factor d has d*w and not w in the class of 0, and each branch's
+    # divisors account for its type's components: the r sum to the
+    # component count, and the m, each taken r times, are the type's
+    # multiplicities
+    pairs, witnessed = list(_census_pairs()), 0
+    assert len(pairs) == 186
+    for left, right in pairs:
+        pres = miranda_presentation(left, right)
+        assert pres is not None and miranda_presentation(right, left) == pres
+        group, witnesses = local_sha_with_witnesses(pres)
+        assert group == miranda_entry(left, right)[0], (left, right)
+        chart = cokernel_chart(assemble(pres)[0])
+        for d, w in zip(group.invariant_factors, witnesses, strict=True):
+            zero = (0,) * len(w)
+            assert chart.same_class(tuple(d * x for x in w), zero)
+            assert not chart.same_class(w, zero)
+            witnessed += 1
+        for br in pres.branches:
+            ft = KodairaType.parse(br.fibre_type)
+            assert sum(dv.r for dv in br.divisors) == component_count(ft)
+            swept = sorted(dv.m for dv in br.divisors for _ in range(dv.r))
+            assert swept == sorted(multiplicities(ft))
+    assert witnessed == 42
+
+
+def test_miranda_presentation_builds_the_shipped_file():
+    i2, i0star = KodairaType.parse("I2"), KodairaType.parse("I0*")
+    pres = load_presentation_file(SHIPPED_FILE)[1]
+    assert miranda_presentation(i2, i0star) == miranda_presentation(i0star, i2) == pres
+
+
+def _sizes(pres):
+    return len(pres.central_multiplicities), sum(len(br.divisors) for br in pres.branches)
+
+
+def test_miranda_presentation_size_edges():
+    # MAX_PRESENTATION_SIZE central components or divisors build, one
+    # more gives None; the size is checked before anything is built, so
+    # an index of 4001 digits costs nothing
+    assert MAX_PRESENTATION_SIZE == 64
+    i, istar = (lambda n: KodairaType("I", n)), (lambda n: KodairaType("I*", n))
+    for a in (1, 32):
+        assert _sizes(miranda_presentation(i(a), i(64 - a))) == (64, 64)
+    assert miranda_presentation(i(32), i(33)) is None
+    assert _sizes(miranda_presentation(i(58), istar(29))) == (63, 64)
+    assert miranda_presentation(i(60), istar(29)) is None
+    huge = KodairaType.parse("I1" + "0" * 4000)
+    assert miranda_presentation(huge, i(3)) is None
+    assert miranda_presentation(istar(3), huge) is None
+
+
+def test_miranda_presentation_off_the_built_families():
+    # odd M1 against I*, the fixed pairs and pairs off Miranda's list are
+    # not built; whatever is built is on the list
+    for pair in (("II", "IV"), ("I3", "I1*"), ("I0", "I3"), ("III", "I0*"), ("I0*", "I0*")):
+        assert miranda_presentation(*map(KodairaType.parse, pair)) is None
+    types = types_with_index_up_to(4, include_smooth=True)
+    for left in types:
+        for right in types:
+            if miranda_presentation(left, right) is not None:
+                assert miranda_entry(left, right) is not None
