@@ -38,10 +38,6 @@ class DegenerateModel(FibrationError):
     """The discriminant 4a^3 + 27b^2 vanishes identically."""
 
 
-class LengthMismatch(FibrationError):
-    """Paired vectors have different lengths (or are empty)."""
-
-
 class InvalidCollision(FibrationError):
     """A collision needs both branches inside the discriminant."""
 

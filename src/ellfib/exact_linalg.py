@@ -16,8 +16,9 @@ reads one or two of the four: kodaira.reduced_pairing reads V^-1, and
 induced_kernel_with_witnesses reads U of R and U^-1 of M0 for the
 cokernel coordinates and V^-1 of the induced block for the witnesses.
 
-All arithmetic is arbitrary-precision integers and fractions.Fraction;
-no floating point is used anywhere in this module.
+All arithmetic is on arbitrary-precision integers; a witness is a
+vector of fractions.Fraction built from the integer residues of one
+matrix product.  No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -74,20 +75,6 @@ class IntMatrix:
         return cls(len(rows), width, tuple(e for r in rows for e in r))
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
-        n = len(diag)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
-        ent = [0] * (rows * cols)
-        for i, d in enumerate(diag):
-            ent[i * cols + i] = d
-        return cls(rows, cols, tuple(ent))
-
-    @classmethod
     def column(cls, values: Sequence[int]) -> "IntMatrix":
         return cls(len(values), 1, tuple(values))
 
@@ -134,15 +121,6 @@ class IntMatrix:
                     for j in range(other.cols):
                         out[rbase + j] += a * other.entries[obase + j]
         return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def apply_to_rational(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Matrix times a column vector of Fractions, exactly."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length does not match column count")
-        return tuple(
-            sum((Fraction(self.at(i, j)) * vec[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -403,11 +381,11 @@ def induced_kernel_with_witnesses(
     for i, d_i in enumerate(dec.diagonal()):
         if d_i <= 1:
             continue
-        # quotient-coordinate generator: column i of V^-1 divided by d_i
-        y = [Fraction(dec.V_inv.at(m, i), d_i) for m in range(block.cols)]
-        # embed into Smith coordinates of R (zeros on the image part),
-        # then return to the standard basis of the ambient (Q/Z)^C
-        padded = [Fraction(0)] * top.rank + y
-        ambient = top.U.apply_to_rational(padded)
-        witnesses.append(tuple(x % 1 for x in ambient))
+        # quotient-coordinate generator: column i of V^-1 divided by d_i,
+        # embedded into Smith coordinates of R (zeros on the image part),
+        # then returned to the standard basis of the ambient (Q/Z)^C; the
+        # integer product is d_i times the witness, so reduce it mod d_i
+        column = [0] * top.rank + [dec.V_inv.at(m, i) for m in range(block.cols)]
+        ambient = top.U @ IntMatrix.column(column)
+        witnesses.append(tuple(Fraction(x % d_i, d_i) for x in ambient.entries))
     return group, witnesses

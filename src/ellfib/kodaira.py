@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LatticeTooLarge, LengthMismatch
+from .errors import LatticeTooLarge
 from .exact_linalg import DivisibleGroup, IntMatrix, smith_normal_form
 from .weierstrass import KodairaType
 
@@ -47,46 +47,32 @@ class FibreLattice:
     multiplicities: tuple[int, ...]
     gram: IntMatrix
 
-    def __post_init__(self):
-        c = self.component_count
-        if c < 1 or len(self.multiplicities) != c:
-            raise LengthMismatch("multiplicity vector does not match component count")
-        if self.gram.rows != c or self.gram.cols != c:
-            raise LengthMismatch("Gram matrix does not match component count")
-        for i in range(c):
-            for j in range(c):
-                if self.gram.at(i, j) != self.gram.at(j, i):
-                    raise ValueError("Gram matrix must be symmetric")
-        # the full fibre has self-intersection zero against every component
-        m = IntMatrix.column(self.multiplicities)
-        if (self.gram @ m) != IntMatrix.zero(c, 1):
-            raise ValueError(
-                f"multiplicity vector is not in the radical for {self.fibre_type}"
-            )
-
-
-def _graph_gram(c: int, weighted_edges) -> IntMatrix:
-    rows = [[(-2 if i == j else 0) for j in range(c)] for i in range(c)]
-    for i, j, w in weighted_edges:
-        rows[i][j] += w
-        rows[j][i] += w
-    return IntMatrix.from_rows(rows)
-
 
 # Fixed additive types: multiplicities in lattice_data's component order,
-# and invariant factors of the discriminant group.
+# invariant factors of the discriminant group, and the dual graph as
+# edges (i, j, w), w the intersection number of components i and j.
 _FIXED_TYPES = {
-    "II": ((1,), ()),
-    "III": ((1, 1), (2,)),
-    "IV": ((1, 1, 1), (3,)),
-    "IV*": ((1, 2, 3, 2, 1, 2, 1), (3,)),
-    "III*": ((1, 2, 3, 4, 3, 2, 1, 2), (2,)),
-    "II*": ((1, 2, 3, 4, 5, 6, 4, 2, 3), ()),
+    "II": ((1,), (), ()),
+    "III": ((1, 1), (2,), ((0, 1, 2),)),
+    "IV": ((1, 1, 1), (3,), ((0, 1, 1), (0, 2, 1), (1, 2, 1))),
+    "IV*": (
+        (1, 2, 3, 2, 1, 2, 1), (3,),
+        ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 5, 1), (5, 6, 1)),
+    ),
+    "III*": (
+        (1, 2, 3, 4, 3, 2, 1, 2), (2,),
+        ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (3, 7, 1)),
+    ),
+    "II*": (
+        (1, 2, 3, 4, 5, 6, 4, 2, 3), (),
+        ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (6, 7, 1),
+         (5, 8, 1)),
+    ),
 }
 
-# Most components lattice_data builds a Gram matrix for: the matrix and
-# its checks are quadratic in the component count, so an I_n of huge
-# index would never return.
+# Most components lattice_data builds a Gram matrix for: the matrix is
+# quadratic in the component count, so an I_n of huge index would never
+# return.
 MAX_LATTICE_COMPONENTS = 1000
 
 
@@ -119,7 +105,8 @@ def lattice_data(ft: KodairaType) -> FibreLattice:
     """Multiplicities and Gram matrix in a fixed component order.
 
     Conventions: irreducible fibres (I0, I1, II) get the single class of
-    the whole fibre with self-intersection 0.  I_n for n >= 2 is the
+    the whole fibre with self-intersection 0.  A reducible fibre's Gram
+    matrix is -2 I plus the edges of its dual graph.  I_n for n >= 2 is the
     cycle 0-1-...-(n-1)-0, with the two components of I2 (and of III)
     meeting with intersection number 2.  I_n* lists the four outer
     multiplicity-1 components first (two at each end), then the chain of
@@ -134,30 +121,21 @@ def lattice_data(ft: KodairaType) -> FibreLattice:
             f"{ft} has {c} components; lattice data is built for at most "
             f"{MAX_LATTICE_COMPONENTS} (MAX_LATTICE_COMPONENTS)"
         )
-    kind, n = ft.kind, ft.index
-    mult = multiplicities(ft)
-    if kind == "I" and n <= 1 or kind == "II":
-        gram = IntMatrix.from_rows([[0]])
-    elif kind == "I" and n == 2 or kind == "III":
-        gram = _graph_gram(c, [(0, 1, 2)])
-    elif kind == "I":
-        gram = _graph_gram(c, [(i, (i + 1) % n, 1) for i in range(n)])
-    elif kind == "IV":
-        gram = _graph_gram(c, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
-    elif kind == "I*":
-        chain = list(range(4, 5 + n))
-        edges = [(0, chain[0], 1), (1, chain[0], 1), (2, chain[-1], 1), (3, chain[-1], 1)]
-        edges += [(chain[i], chain[i + 1], 1) for i in range(n)]
-        gram = _graph_gram(c, edges)
-    elif kind == "IV*":
-        gram = _graph_gram(
-            c, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 5, 1), (5, 6, 1)]
-        )
-    elif kind == "III*":
-        gram = _graph_gram(c, [(i, i + 1, 1) for i in range(6)] + [(3, 7, 1)])
-    else:  # II*
-        gram = _graph_gram(c, [(i, i + 1, 1) for i in range(7)] + [(5, 8, 1)])
-    return FibreLattice(ft, c, mult, gram)
+    if c == 1:  # the whole fibre alone, of self-intersection 0
+        return FibreLattice(ft, 1, (1,), IntMatrix(1, 1, (0,)))
+    n = ft.index
+    if ft.kind == "I":  # the cycle; for I2 its two edges both join 0 and 1
+        edges = [(i, (i + 1) % n, 1) for i in range(n)]
+    elif ft.kind == "I*":
+        edges = [(0, 4, 1), (1, 4, 1), (2, n + 4, 1), (3, n + 4, 1)]
+        edges += [(i, i + 1, 1) for i in range(4, n + 4)]
+    else:
+        edges = _FIXED_TYPES[ft.kind][2]
+    gram = [[-2 if i == j else 0 for j in range(c)] for i in range(c)]
+    for i, j, w in edges:
+        gram[i][j] += w
+        gram[j][i] += w
+    return FibreLattice(ft, c, multiplicities(ft), IntMatrix.from_rows(gram))
 
 
 def reduced_pairing(ft: KodairaType) -> IntMatrix:

@@ -1,13 +1,16 @@
 """Shared helpers for the test suite: canonical valuation profiles per
-fibre type, small enumerations used by several test modules, the
-polynomial oracles (powers and the fully expanded discriminant) that the
-library's leading-term reads are checked against, the canonical text
-forms that the parser's round trips are checked against, the token
-parser that the one-pass polynomial scanner is checked against,
-polynomial text for a coefficient of a given size (`power_of_two`), and
-the cokernel chart that witnesses of a local group are checked with
-(`cokernel_chart`)."""
+fibre type, seeded consistent profiles, small enumerations used by
+several test modules, the polynomial oracles (powers and the fully
+expanded discriminant) that the library's leading-term reads are checked
+against, the canonical text forms that the parser's round trips are
+checked against, the token parser that the one-pass polynomial scanner
+is checked against, polynomial text for a coefficient of a given size
+(`power_of_two`), integer-matrix builders and oracles (`zeros`,
+`diagonal`, `det_laplace`, n-torsion counts), and the cokernel chart
+that witnesses of a local group are checked with (`cokernel_chart`)."""
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,9 +18,9 @@ from typing import Sequence
 
 from ellfib import poly
 from ellfib.errors import Diagnostic, DimensionMismatch, ParseError
-from ellfib.exact_linalg import IntMatrix, smith_normal_form
+from ellfib.exact_linalg import DivisibleGroup, IntMatrix, smith_normal_form
 from ellfib.parser import MAX_EXPONENT, MAX_TERMS
-from ellfib.readers import render_valuation
+from ellfib.readers import INFINITY, render_valuation
 from ellfib.weierstrass import KodairaType, ValuationProfile
 
 # One minimal profile classifying to each type; for the I and I* series
@@ -50,6 +53,21 @@ def types_with_index_up_to(bound: int, include_smooth: bool = False):
     out.extend(KodairaType("I*", n) for n in range(0, bound + 1))
     out.extend(KodairaType(kind) for kind in ("II", "III", "IV", "IV*", "III*", "II*"))
     return out
+
+
+def random_consistent_profile(rng) -> ValuationProfile:
+    """A consistent valuation profile with finite entries below 9 (or
+    infinite va or vb), drawn from rng."""
+    choices = list(range(9)) + [INFINITY]
+    while True:
+        va = rng.choice(choices)
+        vb = rng.choice(choices)
+        if va == INFINITY and vb == INFINITY:
+            continue
+        floor = min(3 * va, 2 * vb)
+        if 3 * va != 2 * vb:
+            return ValuationProfile(va, vb, floor)
+        return ValuationProfile(va, vb, floor + rng.randrange(9))
 
 
 def summed_profile_is_consistent(p: ValuationProfile, q: ValuationProfile) -> bool:
@@ -256,6 +274,62 @@ def parse_polynomial_tokens(text: str, line: int = 0, col_offset: int = 0) -> po
     return result
 
 
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, (0,) * (rows * cols))
+
+
+def diagonal(values: Sequence[int]) -> IntMatrix:
+    """The square matrix with values on its diagonal."""
+    n = len(values)
+    return IntMatrix(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def apply_to_rational(m: IntMatrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """m times a column vector of Fractions, exactly."""
+    if len(vec) != m.cols:
+        raise DimensionMismatch("vector length does not match column count")
+    return tuple(
+        sum((Fraction(m.at(i, j)) * vec[j] for j in range(m.cols)), Fraction(0))
+        for i in range(m.rows)
+    )
+
+
+def det_laplace(rows) -> int:
+    """Determinant by first-row Laplace expansion; independent of every
+    determinant routine in the library."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j, coeff in enumerate(rows[0]):
+        if coeff == 0:
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        total += (-1) ** j * coeff * det_laplace(minor)
+    return total
+
+
+def bruteforce_n_torsion(m: IntMatrix, n: int) -> int:
+    """Number of x in ((1/n)Z / Z)^cols with m x integral, counted by
+    direct enumeration."""
+    rows = m.to_rows()
+    count = 0
+    for combo in itertools.product(range(n), repeat=m.cols):
+        if all(sum(r[j] * combo[j] for j in range(m.cols)) % n == 0 for r in rows):
+            count += 1
+    return count
+
+
+def group_n_torsion(group: DivisibleGroup, n: int) -> int:
+    """Order of the n-torsion of group."""
+    order = n**group.divisible_rank
+    for d in group.invariant_factors:
+        order *= math.gcd(d, n)
+    return order
+
+
 @dataclass(frozen=True)
 class CokernelChart:
     """Coordinates for coker((Q/Z)^k --R--> (Q/Z)^ambient).
@@ -276,7 +350,7 @@ class CokernelChart:
         ambient - rank Smith coordinates reduced mod 1."""
         if len(vec) != self.ambient_dim:
             raise DimensionMismatch("representative has wrong length")
-        image = self.basis_transform.apply_to_rational([Fraction(x) for x in vec])
+        image = apply_to_rational(self.basis_transform, [Fraction(x) for x in vec])
         return tuple(x % 1 for x in image[self.rank :])
 
     def same_class(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> bool:

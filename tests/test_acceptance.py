@@ -10,7 +10,6 @@ PASS/FAIL line per criterion.
 import io
 import itertools
 import json
-import math
 import pathlib
 import random
 import subprocess
@@ -40,7 +39,6 @@ from ellfib.presentations import (
     load_presentations,
     local_sha_with_witnesses,
 )
-from ellfib.readers import INFINITY
 from ellfib.weierstrass import (
     KodairaType,
     ValuationProfile,
@@ -51,7 +49,14 @@ from ellfib.weierstrass import (
     minimalize,
 )
 
-from support import cokernel_chart, discriminant, summed_profile_is_consistent
+from support import (
+    bruteforce_n_torsion,
+    cokernel_chart,
+    discriminant,
+    group_n_torsion,
+    random_consistent_profile,
+    summed_profile_is_consistent,
+)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -218,51 +223,16 @@ def test_criterion_05_sha_punctured_table():
         assert sha_punctured_transverse(ft) == _expected_discriminant_group(ft)
 
 
-def _random_consistent_profile(rng: random.Random) -> ValuationProfile:
-    while True:
-        va = rng.choice(list(range(9)) + [INFINITY])
-        vb = rng.choice(list(range(9)) + [INFINITY])
-        if va == INFINITY and vb == INFINITY:
-            continue
-        floor = min(3 * va, 2 * vb)
-        if 3 * va != 2 * vb:
-            vdelta = floor
-        else:
-            vdelta = floor + rng.randrange(9)
-        return ValuationProfile(va, vb, vdelta)
-
-
 def test_criterion_06_twist_invariance():
     rng = random.Random(20260819)
     for _ in range(200):
-        p = _random_consistent_profile(rng)
+        p = random_consistent_profile(rng)
         k = rng.randint(1, 5)
         twisted = ValuationProfile(
             p.va + 4 * k, p.vb + 6 * k, p.vdelta + 12 * k
         )
         base_type = classify(minimalize(p)[0])
         assert classify(minimalize(twisted)[0]) == base_type
-
-
-def _bruteforce_n_torsion(m: IntMatrix, n: int) -> int:
-    """Count the n-torsion solutions of m·x = 0 in (Q/Z)^cols by direct
-    enumeration over representatives in (Z/n)^cols."""
-    rows = m.to_rows()
-    count = 0
-    for combo in itertools.product(range(n), repeat=m.cols):
-        if all(
-            sum(row[j] * combo[j] for j in range(m.cols)) % n == 0
-            for row in rows
-        ):
-            count += 1
-    return count
-
-
-def _group_n_torsion(g: DivisibleGroup, n: int) -> int:
-    order = n ** g.divisible_rank
-    for d in g.invariant_factors:
-        order *= math.gcd(d, n)
-    return order
 
 
 def test_criterion_07_torsion_kernel_oracle():
@@ -276,7 +246,7 @@ def test_criterion_07_torsion_kernel_oracle():
         )
         group = qz_kernel(m)
         for n in (2, 3, 4, 6, 12):
-            assert _group_n_torsion(group, n) == _bruteforce_n_torsion(m, n)
+            assert group_n_torsion(group, n) == bruteforce_n_torsion(m, n)
         samples += 1
     assert samples == 500
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface (in-process)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -24,7 +25,7 @@ from ellfib.parser import (
 from ellfib.presentations import MAX_PRESENTATION_ENTRY, MAX_PRESENTATION_SIZE
 from ellfib.readers import INFINITY
 
-from support import power_of_two
+from support import power_of_two, types_with_index_up_to
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -72,6 +73,21 @@ def test_lattice_command():
     assert "multiplicities: 1 1" in out
     assert "euler number: 2" in out
     assert "discriminant group: Z/2" in out
+
+
+# SHA-256 of the output of `lattice T` for I0 ... I50, I0* ... I50* and
+# the six fixed types, taken before every Gram matrix was built from one
+# dual-graph table
+_LATTICE_SHA256 = "58878f13d7d9564c083fd84d32e5b33e3adce815969a1de872fbb849e66a0836"
+
+
+def test_lattice_command_golden_fingerprint():
+    digest = hashlib.sha256()
+    for ft in types_with_index_up_to(50, include_smooth=True):
+        rc, out = run("lattice", str(ft))
+        assert rc == EXIT_OK
+        digest.update(out.encode())
+    assert digest.hexdigest() == _LATTICE_SHA256
 
 
 def test_lattice_command_refuses_huge_types(capsys):

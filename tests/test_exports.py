@@ -3,8 +3,9 @@ attributes that exist, and every function the benchmark's tracer wraps
 by name exists.  The package root imports nothing, so importing one
 module loads only that module and what it imports.  No name is dead:
 every import of a module is read there or exported, every exported
-function or class is read by a program, and every exception class of
-ellfib.errors is named by some other module."""
+function or class is read by a program, so is every classmethod and
+staticmethod, and every exception class of ellfib.errors is named by
+some other module."""
 
 import ast
 import importlib
@@ -68,6 +69,7 @@ def test_importing_one_module_loads_only_its_imports(module):
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+BENCH = "\n".join(p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py")))
 
 
 def test_traced_names_exist():
@@ -115,7 +117,6 @@ def test_every_exported_function_and_class_is_read():
     # a function or class in a module's __all__ that no program reads is
     # dead: some package code outside its own definition (in its module
     # or another) must name it, or some benchmark file; tests do not count
-    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py")))
     refs = [
         (id(ref), ref.id if isinstance(ref, ast.Name) else ref.attr)
         for tree in SOURCES.values() for ref in ast.walk(tree)
@@ -129,8 +130,38 @@ def test_every_exported_function_and_class_is_read():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in exported:
                 own = set(map(id, ast.walk(node)))
                 read = any(name == node.name and at not in own for at, name in refs)
-                if not read and not re.search(rf"\b{node.name}\b", bench):
+                if not read and not re.search(rf"\b{node.name}\b", BENCH):
                     unread.append(f"{module}.{node.name}")
+    assert unread == []
+
+
+def test_every_classmethod_and_staticmethod_is_read():
+    # a class's classmethod or staticmethod is dead unless package code
+    # outside its own body reads it as Class.name (or cls.name within the
+    # class), or a benchmark file names it as Class.name
+    reads = [
+        (id(ref), ref.value.id, ref.attr)
+        for tree in SOURCES.values() for ref in ast.walk(tree)
+        if isinstance(ref, ast.Attribute) and isinstance(ref.value, ast.Name)
+    ]
+    unread = []
+    for module, tree in SOURCES.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            in_class = set(map(id, ast.walk(cls)))
+            for method in cls.body:
+                decorators = {
+                    d.id for d in getattr(method, "decorator_list", ()) if isinstance(d, ast.Name)
+                }
+                if not decorators & {"classmethod", "staticmethod"}:
+                    continue
+                own = set(map(id, ast.walk(method)))
+                read = any(
+                    attr == method.name and at not in own
+                    and (owner == cls.name or owner == "cls" and at in in_class)
+                    for at, owner, attr in reads
+                )
+                if not read and not re.search(rf"\b{cls.name}\.{method.name}\b", BENCH):
+                    unread.append(f"{module}.{cls.name}.{method.name}")
     assert unread == []
 
 

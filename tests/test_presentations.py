@@ -1,8 +1,10 @@
 """Tests for component presentations of resolved collisions and the
 local Tate-Shafarevich groups computed from them."""
 
+import hashlib
 import json
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -363,3 +365,50 @@ def test_miranda_presentation_off_the_built_families():
         for right in types:
             if miranda_presentation(left, right) is not None:
                 assert miranda_entry(left, right) is not None
+
+
+# ---------------------------------------------------------------------------
+# seeded presentations, pinned
+
+
+def _random_branch(rng, fibre_type: str, central: tuple[int, ...]) -> BranchPresentation:
+    # divisors that sweep out central: each takes a random share of what
+    # is left, and the last takes the rest with m = r = 1
+    left, divisors = list(central), []
+    while any(left):
+        m, r = rng.randint(1, 2), rng.randint(1, 2)
+        incidence = tuple(rng.randint(0, x // (m * r)) for x in left)
+        if not any(incidence) or rng.random() < 0.1:
+            m, r, incidence = 1, 1, tuple(left)
+        left = [x - m * r * y for x, y in zip(left, incidence)]
+        divisors.append(DivisorRecord(m, r, incidence))
+    return BranchPresentation(fibre_type, tuple(divisors))
+
+
+def _random_presentations(count: int = 200):
+    # half with one branch, half with two; at most 10 central components,
+    # every m, r and incidence entry at most 9
+    rng = random.Random(20261020)
+    for i in range(count):
+        central = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 10)))
+        types = ("I2",) if i % 2 else ("I2", "I0*")
+        yield CollisionPresentation(
+            central, tuple(_random_branch(rng, t, central) for t in types)
+        )
+
+
+# SHA-256 of the group and witnesses of each of _random_presentations(),
+# taken before witnesses were built from one integer product: 71 of the
+# 200 have witnesses, 78 in all
+_SEEDED_SHA_SHA256 = "99080a94de552fbef3517837aea165f03ed1816f7dc123223c6d412c14d8f337"
+
+
+def test_seeded_presentations_golden_fingerprint():
+    digest, witnessed = hashlib.sha256(), 0
+    for pres in _random_presentations():
+        group, witnesses = local_sha_with_witnesses(pres)
+        witnessed += len(witnesses)
+        line = "; ".join([str(group)] + [" ".join(map(str, w)) for w in witnesses])
+        digest.update(f"{line}\n".encode())
+    assert witnessed == 78
+    assert digest.hexdigest() == _SEEDED_SHA_SHA256

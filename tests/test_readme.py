@@ -42,6 +42,7 @@ def test_readme_has_examples():
         "ellfib classify 2 3 7",
         "ellfib reduce 1 1 2 1 1 2",
         "ellfib sha-local corpus/presentations/i2_i0star.json",
+        "ellfib lattice IV*",
     ]
 
 

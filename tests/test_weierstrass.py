@@ -29,7 +29,12 @@ from ellfib.weierstrass import (
     minimalize,
 )
 
-from support import canonical_profile, discriminant, types_with_index_up_to
+from support import (
+    canonical_profile,
+    discriminant,
+    random_consistent_profile,
+    types_with_index_up_to,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +120,7 @@ def test_minimalize_examples():
 def test_minimalize_result_is_always_classifiable():
     rng = random.Random(42)
     for _ in range(300):
-        p = _random_consistent_profile(rng)
+        p = random_consistent_profile(rng)
         reduced, k = minimalize(p)
         assert k >= 0
         classify(reduced)  # must not raise
@@ -192,24 +197,10 @@ def test_euler_number_equals_vdelta_on_minimal_profiles():
     assert checked > 50
 
 
-def _random_consistent_profile(rng):
-    choices = list(range(0, 9)) + [INFINITY]
-    while True:
-        va = rng.choice(choices)
-        vb = rng.choice(choices)
-        if va == INFINITY and vb == INFINITY:
-            continue
-        if 3 * va == 2 * vb:
-            vd = 3 * va + rng.randint(0, 8)
-        else:
-            vd = min(3 * va, 2 * vb)
-        return ValuationProfile(va, vb, int(vd))
-
-
 def test_twist_invariance_of_classification():
     rng = random.Random(43)
     for _ in range(120):
-        p = _random_consistent_profile(rng)
+        p = random_consistent_profile(rng)
         base_min, _ = minimalize(p)
         base_type = classify(base_min)
         for k in range(1, 4):
