@@ -136,7 +136,7 @@ def _cmd_sha_local(args, out) -> int:
     print(f"local sha: {group}", file=out)
     for w in witnesses:
         print(f"generator witness: ({', '.join(str(x) for x in w)})", file=out)
-    entry = miranda_entry(*(KodairaType.parse(t) for t in pair))
+    entry = miranda_entry(*pair)
     if entry is not None:
         registry, kind, obstruction = entry
         agree = "agree" if registry == group else "DISAGREE"

@@ -16,7 +16,7 @@ MAX_BLOWUP_DEPTH) or dissolves it entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import (
@@ -88,15 +88,12 @@ class BranchGerm:
 
     name: str
     profile: ValuationProfile
+    fibre_type: KodairaType = field(init=False)
 
     def __post_init__(self):
         # classify rejects non-minimal profiles, which is exactly the
         # minimality contract for a germ
-        object.__setattr__(self, "_fibre_type", classify(self.profile))
-
-    @property
-    def fibre_type(self) -> KodairaType:
-        return self._fibre_type
+        object.__setattr__(self, "fibre_type", classify(self.profile))
 
 
 @dataclass(frozen=True)
@@ -173,11 +170,10 @@ def blow_up(c: CollisionPoint) -> tuple[ValuationProfile, int]:
 class BlowupNode:
     """One crossing in the resolution tree.  status is "allowed"
     (resolvable leaf), "dissolved" (one side left the discriminant), or
-    "blown-up" (internal node with two children)."""
+    "blown-up" (internal node with two children); len(path) is its depth."""
 
     left: BranchGerm
     right: BranchGerm
-    depth: int
     path: str
     status: str
     exceptional: BranchGerm | None = None
@@ -208,15 +204,15 @@ class BlowupTree:
         return [n for n in self.leaves() if n.status == ALLOWED]
 
     def height(self) -> int:
-        return max(n.depth for n in self.leaves())
+        return max(len(n.path) for n in self.leaves())
 
 
-def _expand(left: BranchGerm, right: BranchGerm, depth: int, path: str) -> BlowupNode:
+def _expand(left: BranchGerm, right: BranchGerm, path: str) -> BlowupNode:
     if left.profile.vdelta == 0 or right.profile.vdelta == 0:
-        return BlowupNode(left, right, depth, path, DISSOLVED)
+        return BlowupNode(left, right, path, DISSOLVED)
     if miranda_entry(left.fibre_type, right.fibre_type) is not None:
-        return BlowupNode(left, right, depth, path, ALLOWED)
-    if depth >= MAX_BLOWUP_DEPTH:
+        return BlowupNode(left, right, path, ALLOWED)
+    if len(path) >= MAX_BLOWUP_DEPTH:
         raise DepthExceeded(
             f"collision {left.name!r} + {right.name!r} not resolved within "
             f"depth {MAX_BLOWUP_DEPTH}"
@@ -225,17 +221,17 @@ def _expand(left: BranchGerm, right: BranchGerm, depth: int, path: str) -> Blowu
     # short positional name: the tree already records what was blown up
     exc = BranchGerm("E" if not path else f"E:{path}", minimal)
     kids = (
-        _expand(left, exc, depth + 1, path + "L"),
-        _expand(right, exc, depth + 1, path + "R"),
+        _expand(left, exc, path + "L"),
+        _expand(right, exc, path + "R"),
     )
-    return BlowupNode(left, right, depth, path, BLOWN_UP, exc, twists, kids)
+    return BlowupNode(left, right, path, BLOWN_UP, exc, twists, kids)
 
 
 def miranda_reduce(collisions) -> list[BlowupTree]:
     """Resolve each collision by repeated blow-ups until every remaining
     crossing is allowed or dissolved.  Children are explored left first;
     paths longer than MAX_BLOWUP_DEPTH raise DepthExceeded."""
-    return [BlowupTree(_expand(c.left, c.right, 0, "")) for c in collisions]
+    return [BlowupTree(_expand(c.left, c.right, "")) for c in collisions]
 
 
 def corank(b2_X: int, rho_X: int, b2_S: int, rho_S: int) -> int:

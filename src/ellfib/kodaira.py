@@ -131,11 +131,12 @@ def lattice_data(ft: KodairaType) -> FibreLattice:
         edges += [(i, i + 1, 1) for i in range(4, n + 4)]
     else:
         edges = _FIXED_TYPES[ft.kind][2]
-    gram = [[-2 if i == j else 0 for j in range(c)] for i in range(c)]
+    gram = [0] * (c * c)
+    gram[:: c + 1] = [-2] * c
     for i, j, w in edges:
-        gram[i][j] += w
-        gram[j][i] += w
-    return FibreLattice(ft, c, multiplicities(ft), IntMatrix.from_rows(gram))
+        gram[i * c + j] += w
+        gram[j * c + i] += w
+    return FibreLattice(ft, c, multiplicities(ft), IntMatrix(c, c, tuple(gram)))
 
 
 def reduced_pairing(ft: KodairaType) -> IntMatrix:

@@ -79,21 +79,14 @@ class DivisorRecord:
             raise PresentationInconsistent("incidence entries must be >= 0")
 
 
-def _fibre_type(text: str) -> str:
-    """text's Kodaira type, spelled as str(KodairaType) writes it."""
-    try:
-        return str(KodairaType.parse(text))
-    except ValueError as exc:
-        raise PresentationInconsistent(str(exc)) from exc
-
-
 @dataclass(frozen=True)
 class BranchPresentation:
-    fibre_type: str
+    fibre_type: KodairaType
     divisors: tuple[DivisorRecord, ...]
 
     def __post_init__(self):
-        _fibre_type(self.fibre_type)
+        if not isinstance(self.fibre_type, KodairaType):
+            raise PresentationInconsistent(f"fibre type {self.fibre_type!r} is not a KodairaType")
         if not self.divisors:
             raise PresentationInconsistent("branch needs at least one divisor")
 
@@ -210,7 +203,7 @@ def miranda_presentation(left: KodairaType, right: KodairaType) -> CollisionPres
              + [(2, 1, {j: 1}) for j in g[k + 1 :]] + [(1, 1, {f5: 1}), (1, 1, {f6: 1})]),
         )
     return CollisionPresentation(central, tuple(
-        BranchPresentation(str(t), tuple(
+        BranchPresentation(t, tuple(
             DivisorRecord(m, r, tuple(w.get(i, 0) for i in range(c))) for m, r, w in divisors
         ))
         for t, divisors in branches
@@ -218,11 +211,11 @@ def miranda_presentation(left: KodairaType, right: KodairaType) -> CollisionPres
 
 
 @functools.cache
-def _shipped() -> tuple[tuple[frozenset[str], CollisionPresentation], ...]:
+def _shipped() -> tuple[tuple[frozenset[KodairaType], CollisionPresentation], ...]:
     """The shipped (type pair, presentation) entries, built once: I2 + I0*,
     written out by hand in corpus/presentations/i2_i0star.json."""
-    i2_i0star = miranda_presentation(KodairaType("I", 2), KodairaType("I*", 0))
-    return ((frozenset(("I2", "I0*")), i2_i0star),)
+    pair = (KodairaType("I", 2), KodairaType("I*", 0))
+    return ((frozenset(pair), miranda_presentation(*pair)),)
 
 
 def _json_int(value, field: str) -> int:
@@ -242,19 +235,24 @@ def _json_entry(value, field: str) -> int:
     return value
 
 
-def _json_str(value, field: str) -> str:
+def _fibre_type(value, field: str) -> KodairaType:
+    """The Kodaira type a JSON string names."""
     if not isinstance(value, str):
         raise PresentationInconsistent(f"{field} must be a string, not {type(value).__name__}")
-    return value
-
-
-def presentation_from_dict(data: dict) -> tuple[tuple[str, str], CollisionPresentation]:
-    """Build a presentation from parsed JSON; see the README for the file
-    layout.  Returns (type pair, presentation), every type in canonical
-    spelling; each branch is of a type of the pair, no two of the same
-    pair entry."""
     try:
-        pair = tuple(_fibre_type(_json_str(x, "pair entry")) for x in data["pair"])
+        return KodairaType.parse(value)
+    except ValueError as exc:
+        raise PresentationInconsistent(str(exc)) from exc
+
+
+def presentation_from_dict(
+    data: dict,
+) -> tuple[tuple[KodairaType, KodairaType], CollisionPresentation]:
+    """Build a presentation from parsed JSON; see the README for the file
+    layout.  Returns (type pair, presentation); each branch is of a type
+    of the pair, no two of the same pair entry."""
+    try:
+        pair = tuple(_fibre_type(x, "pair entry") for x in data["pair"])
         central_data, branch_data = data["central_multiplicities"], data["branches"]
         divisor_count = sum(len(br["divisors"]) for br in branch_data)
         if max(len(central_data), divisor_count) > MAX_PRESENTATION_SIZE:
@@ -274,7 +272,7 @@ def presentation_from_dict(data: dict) -> tuple[tuple[str, str], CollisionPresen
                 )
                 for dv in br["divisors"]
             )
-            fibre_type = _fibre_type(_json_str(br["fibre_type"], "fibre_type"))
+            fibre_type = _fibre_type(br["fibre_type"], "fibre_type")
             branches.append(BranchPresentation(fibre_type, divisors))
     except (KeyError, TypeError, ValueError) as exc:
         raise PresentationInconsistent(f"malformed presentation data: {exc}") from exc
@@ -283,11 +281,12 @@ def presentation_from_dict(data: dict) -> tuple[tuple[str, str], CollisionPresen
     p = CollisionPresentation(central, tuple(branches))
     types = tuple(br.fibre_type for br in p.branches)
     if any(types.count(t) > pair.count(t) for t in types):
-        raise PresentationInconsistent(f"pair {pair} does not match branch types {types}")
+        raise PresentationInconsistent(f"pair {tuple(map(str, pair))} does not match "
+                                       f"branch types {tuple(map(str, types))}")
     return pair, p
 
 
-def load_presentation_file(path) -> tuple[tuple[str, str], CollisionPresentation]:
+def load_presentation_file(path) -> tuple[tuple[KodairaType, KodairaType], CollisionPresentation]:
     """Read one presentation file; every fault of its content names the
     file, as naming_input makes it."""
     with naming_input(path):
@@ -298,11 +297,12 @@ def load_presentation_file(path) -> tuple[tuple[str, str], CollisionPresentation
         return presentation_from_dict(data)
 
 
-def load_presentations(dirpath=None) -> dict[frozenset[str], CollisionPresentation]:
-    """Presentations keyed by unordered type pair: the shipped entries,
-    then each *.json file of dirpath in name order, a file replacing any
-    entry of its pair.  A new dict on each call; the shipped frozen
-    objects are built once per process."""
+def load_presentations(dirpath=None) -> dict[frozenset[KodairaType], CollisionPresentation]:
+    """Presentations keyed by unordered type pair, the key of Miranda's
+    list in collisions: the shipped entries, then each *.json file of
+    dirpath in name order, a file replacing any entry of its pair.  A new
+    dict on each call; the shipped frozen objects are built once per
+    process."""
     found = dict(_shipped())
     if dirpath:
         for name in sorted(os.listdir(dirpath)):

@@ -33,7 +33,7 @@ from .presentations import (
     local_sha_with_witnesses,
 )
 from .readers import render_valuation
-from .weierstrass import ValuationProfile, axis_profile, j_valuation, minimalize
+from .weierstrass import KodairaType, ValuationProfile, axis_profile, j_valuation, minimalize
 
 __all__ = ["analyze", "render_text", "render_json"]
 
@@ -142,7 +142,7 @@ def _leaf_json(
 def _collision_json(
     c: CollisionDecl,
     germs: dict[str, BranchGerm],
-    store: dict[frozenset[str], CollisionPresentation],
+    store: dict[frozenset[KodairaType], CollisionPresentation],
     base_dir: str | None,
     errors: list[dict],
 ) -> tuple[dict | None, list[tuple[dict, dict]]]:
@@ -179,10 +179,10 @@ def _collision_json(
         return None, []
 
     allowed = tree.allowed_leaves()
-    keys = [frozenset(str(t) for t in leaf.type_pair()) for leaf in allowed]
+    keys = [frozenset(leaf.type_pair()) for leaf in allowed]
     if attached is not None and attached not in keys:
         _error(errors, subject, PresentationInconsistent(
-            f"attached presentation describes {' + '.join(pair)}, "
+            f"attached presentation describes {' + '.join(map(str, pair))}, "
             "the type pair of no allowed leaf of the collision"))
     leaves = [_leaf_json(leaf, store.get(key), c.presentation if key == attached else "registry")
               for leaf, key in zip(allowed, keys)]
@@ -191,14 +191,14 @@ def _collision_json(
 
 def analyze(
     d: FibrationDescription,
-    store: dict[frozenset[str], CollisionPresentation] | None = None,
+    store: dict[frozenset[KodairaType], CollisionPresentation] | None = None,
     base_dir: str | None = None,
 ) -> dict:
     """Run the full pipeline on a parsed description and return the
     report document: a dict of JSON values in the fixed key order of
     `report --format json`, with `errors` empty on a clean run.  store
-    maps unordered type pairs to presentations, as load_presentations()
-    returns them, which is the default."""
+    maps Miranda's key, an unordered pair of KodairaType, to presentations,
+    as load_presentations() returns them, which is the default."""
     store = store if store is not None else load_presentations()
     errors: list[dict] = []
     branches: list[dict] = []

@@ -6,8 +6,9 @@ against, the canonical text forms that the parser's round trips are
 checked against, the token parser that the one-pass polynomial scanner
 is checked against, polynomial text for a coefficient of a given size
 (`power_of_two`), integer-matrix builders and oracles (`zeros`,
-`diagonal`, `det_laplace`, n-torsion counts), and the cokernel chart
-that witnesses of a local group are checked with (`cokernel_chart`)."""
+`diagonal`, `det_laplace`, n-torsion counts), the cokernel chart that
+witnesses of a local group are checked with (`cokernel_chart`), and the
+store key of the shipped I2 + I0* presentation (`I2_I0STAR`)."""
 
 import itertools
 import math
@@ -22,6 +23,9 @@ from ellfib.exact_linalg import DivisibleGroup, IntMatrix, smith_normal_form
 from ellfib.parser import MAX_EXPONENT, MAX_TERMS
 from ellfib.readers import INFINITY, render_valuation
 from ellfib.weierstrass import KodairaType, ValuationProfile
+
+# The key of the shipped I2 + I0* presentation in load_presentations()
+I2_I0STAR = frozenset(map(KodairaType.parse, ("I2", "I0*")))
 
 # One minimal profile classifying to each type; for the I and I* series
 # the profile depends on the index.

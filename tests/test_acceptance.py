@@ -50,6 +50,7 @@ from ellfib.weierstrass import (
 )
 
 from support import (
+    I2_I0STAR,
     bruteforce_n_torsion,
     cokernel_chart,
     discriminant,
@@ -111,14 +112,14 @@ def test_criterion_02_local_sha_of_reference_collision():
         central_multiplicities=(1, 1, 2, 2, 1, 1),
         branches=(
             BranchPresentation(
-                "I2",
+                KodairaType.parse("I2"),
                 (
                     DivisorRecord(1, 1, (1, 1, 2, 0, 0, 0)),
                     DivisorRecord(1, 1, (0, 0, 0, 2, 1, 1)),
                 ),
             ),
             BranchPresentation(
-                "I0*",
+                KodairaType.parse("I0*"),
                 (
                     DivisorRecord(1, 1, (1, 0, 0, 0, 0, 0)),
                     DivisorRecord(1, 1, (0, 1, 0, 0, 0, 0)),
@@ -154,7 +155,7 @@ def test_criterion_02_local_sha_of_reference_collision():
     assert chart.same_class(w, reference)
     assert not chart.same_class(w, (0,) * 7)
     # The shipped registry entry is exactly this presentation.
-    assert load_presentations()[frozenset(("I2", "I0*"))] == pres
+    assert load_presentations()[I2_I0STAR] == pres
 
 
 def test_criterion_03_multiple_fibre_verdict_census():

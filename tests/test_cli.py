@@ -22,10 +22,15 @@ from ellfib.parser import (
     MAX_TERMS,
     parse_description,
 )
-from ellfib.presentations import MAX_PRESENTATION_ENTRY, MAX_PRESENTATION_SIZE
+from ellfib.presentations import (
+    MAX_PRESENTATION_ENTRY,
+    MAX_PRESENTATION_SIZE,
+    miranda_presentation,
+)
 from ellfib.readers import INFINITY
+from ellfib.weierstrass import KodairaType
 
-from support import power_of_two, types_with_index_up_to
+from support import canonical_profile, power_of_two, types_with_index_up_to
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -283,6 +288,57 @@ def test_sha_local_command(tmp_path):
     )
 
 
+def _run_captured(*argv) -> str:
+    """rc, stdout and stderr of one in-process run, as one record."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc, out = run(*argv)
+    return f"{rc}\n{out}\n{err.getvalue()}\n"
+
+
+# I_a + I_b (a <= b <= 6) and I_2k + I*_m (k <= 3, m <= 3)
+_MIRANDA_PAIRS = [(KodairaType("I", a), KodairaType("I", b))
+                  for a in range(1, 7) for b in range(a, 7)]
+_MIRANDA_PAIRS += [(KodairaType("I", 2 * k), KodairaType("I*", m))
+                   for k in range(1, 4) for m in range(4)]
+
+
+def _write_miranda_files(directory: pathlib.Path) -> list[pathlib.Path]:
+    """Miranda's resolution of each of _MIRANDA_PAIRS as presentation
+    files p000.json ..., the pair written in alternating order."""
+    paths = []
+    for i, (left, right) in enumerate(_MIRANDA_PAIRS):
+        pres = miranda_presentation(left, right)
+        path = directory / f"p{i:03d}.json"
+        path.write_text(json.dumps({
+            "pair": [str(t) for t in ((left, right) if i % 2 == 0 else (right, left))],
+            "central_multiplicities": list(pres.central_multiplicities),
+            "branches": [
+                {"fibre_type": str(br.fibre_type),
+                 "divisors": [{"m": dv.m, "r": dv.r, "incidence": list(dv.incidence)}
+                              for dv in br.divisors]}
+                for br in pres.branches
+            ],
+        }), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+# SHA-256 of `sha-local` (exit code, stdout, stderr) on the 33 files of
+# _write_miranda_files, taken before fibre types were kept as KodairaType
+# from the loader to the lookup
+_SHA_LOCAL_SHA256 = "25b0d4dc8a7d9c76d2799d79d1b1766f961ef6229176de4c0f7fef4d224274cd"
+
+
+def test_sha_local_miranda_files_golden_fingerprint(tmp_path):
+    paths = _write_miranda_files(tmp_path)
+    assert len(paths) == 33
+    digest = hashlib.sha256()
+    for i, path in enumerate(paths):
+        digest.update(f"{i}\n{_run_captured('sha-local', str(path))}".encode())
+    assert digest.hexdigest() == _SHA_LOCAL_SHA256
+
+
 def test_sha_punctured_command():
     assert run("sha-punctured", "I0") == (EXIT_OK, "(Q/Z)^2\n")
     assert run("sha-punctured", "I3") == (EXIT_OK, "(Q/Z)^1 + Z/3\n")
@@ -428,6 +484,59 @@ def test_report_with_presentation_directory():
     )
     assert rc == EXIT_OK
     assert json.loads(out)["groups"][0][0]["computed"] == "Z/2"
+
+
+_REPORT_TYPES = [KodairaType("I", n) for n in range(1, 7)]
+_REPORT_TYPES += [KodairaType("I*", n) for n in range(4)]
+_REPORT_TYPES += [KodairaType(kind) for kind in ("II", "III", "IV")]
+
+
+def _random_report_description(rng, files: list[frozenset[KodairaType]]) -> str:
+    """Four to six branches of _REPORT_TYPES and one to four collisions
+    between them, some attaching a presentation file: files[i] is the
+    pair of pNNN.json, i = NNN.  Most collisions whose left branch has
+    a partner of a pair in files take one, and half the collisions
+    attach a file, mostly that of their pair when it is in files."""
+    types = {f"B{j}": rng.choice(_REPORT_TYPES) for j in range(rng.randint(4, 6))}
+    lines = []
+    for name, ft in types.items():
+        p = canonical_profile(ft)
+        lines.append(f"[branch {name}] va={p.va} vb={p.vb} vdelta={p.vdelta}")
+    for _ in range(rng.randint(1, 4)):
+        left = rng.choice(sorted(types))
+        partners = [n for n in sorted(types) if n != left]
+        on_file = [n for n in partners if frozenset((types[left], types[n])) in files]
+        right = rng.choice(on_file if on_file and rng.random() < 0.7 else partners)
+        pair = frozenset((types[left], types[right]))
+        attach = ""
+        if rng.random() < 0.5:
+            index = files.index(pair) if pair in files and rng.random() < 0.9 else None
+            index = rng.randrange(len(files)) if index is None else index
+            attach = f" presentation=p{index:03d}.json"
+        lines.append(f"[collision] {left} {right}{attach}")
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of `report` (exit code, stdout, stderr) on 24 seeded
+# descriptions, each in JSON and in text, with and without
+# --presentations of the 33 files of _write_miranda_files, taken before
+# fibre types were kept as KodairaType from the loader to the lookup
+_REPORT_SHA256 = "b645be35cfc91ab146082fc87c0f89962dc19d6d296b215efded939da23cadb7"
+
+
+def test_report_seeded_descriptions_golden_fingerprint(tmp_path):
+    _write_miranda_files(tmp_path)
+    files = [frozenset(pair) for pair in _MIRANDA_PAIRS]
+    rng = random.Random(20240521)
+    digest = hashlib.sha256()
+    for i in range(24):
+        path = tmp_path / f"d{i:02d}.fib"
+        path.write_text(_random_report_description(rng, files), encoding="utf-8")
+        for fmt in ("json", "text"):
+            for extra in ((), ("--presentations", str(tmp_path))):
+                record = _run_captured("report", str(path), "--format", fmt, *extra)
+                digest.update(f"{i} {fmt} {len(extra)}\n{record}".encode())
+    assert digest.hexdigest() == _REPORT_SHA256
 
 
 def test_report_missing_file(capsys):

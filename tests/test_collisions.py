@@ -177,7 +177,7 @@ def test_reduce_one_blow_up():
     assert str(root.exceptional.fibre_type) == "IV"
     assert len(root.children) == 2
     assert [n.status for n in tree.leaves()] == [ALLOWED, ALLOWED]
-    assert all(n.depth == 1 for n in tree.leaves())
+    assert all(len(n.path) == 1 for n in tree.leaves())
     assert tree.height() == 1
     # left-to-right order: the left child keeps the left branch
     assert tree.leaves()[0].left.name == "L"

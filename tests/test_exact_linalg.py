@@ -31,6 +31,7 @@ from ellfib.presentations import assemble, load_presentations
 from ellfib.weierstrass import KodairaType
 
 from support import (
+    I2_I0STAR,
     apply_to_rational,
     bruteforce_n_torsion,
     cokernel_chart,
@@ -365,7 +366,7 @@ def test_each_caller_builds_only_the_transforms_it_reads(monkeypatch):
 
     monkeypatch.setattr(exact_linalg, "smith_normal_form", recording)
     monkeypatch.setattr(kodaira, "smith_normal_form", recording)
-    r, n, m0, sigma = assemble(load_presentations()[frozenset(("I2", "I0*"))])
+    r, n, m0, sigma = assemble(load_presentations()[I2_I0STAR])
     qz_kernel(n)
     assert built() == []
     _, witnesses = induced_kernel_with_witnesses(r, n, m0, sigma)

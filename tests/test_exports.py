@@ -5,7 +5,8 @@ module loads only that module and what it imports.  No name is dead:
 every import of a module is read there or exported, every exported
 function or class is read by a program, so is every classmethod and
 staticmethod, and every exception class of ellfib.errors is named by
-some other module."""
+some other module.  Fibre types are parsed only where their text enters
+the program."""
 
 import ast
 import importlib
@@ -163,6 +164,38 @@ def test_every_classmethod_and_staticmethod_is_read():
                 if not read and not re.search(rf"\b{cls.name}\.{method.name}\b", BENCH):
                     unread.append(f"{module}.{cls.name}.{method.name}")
     assert unread == []
+
+
+# Where a fibre type's text enters the program: the command-line
+# arguments, presentation files and Miranda's list of fixed pairs.
+TYPE_TEXT_ENTRIES = {
+    ("cli", "build_arg_parser"),
+    ("presentations", "_fibre_type"),
+    ("collisions", "_FIXED_PAIRS"),
+}
+
+
+def test_fibre_types_are_parsed_where_their_text_enters():
+    # outside weierstrass, which defines it, KodairaType.parse is named
+    # in each of TYPE_TEXT_ENTRIES and nowhere else, so a type read once
+    # stays a KodairaType
+    found = []
+    for module, tree in SOURCES.items():
+        if module == "weierstrass":
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                where = stmt.name
+            elif isinstance(stmt, ast.Assign):
+                where = ", ".join(t.id for t in stmt.targets if isinstance(t, ast.Name))
+            else:
+                where = type(stmt).__name__
+            found += [
+                (module, where) for ref in ast.walk(stmt)
+                if isinstance(ref, ast.Attribute) and ref.attr == "parse"
+                and isinstance(ref.value, ast.Name) and ref.value.id == "KodairaType"
+            ]
+    assert sorted(set(found)) == sorted(TYPE_TEXT_ENTRIES)
 
 
 def test_every_error_class_is_named_elsewhere():

@@ -27,7 +27,7 @@ from ellfib.presentations import (
 )
 from ellfib.weierstrass import KodairaType
 
-from support import cokernel_chart, types_with_index_up_to
+from support import I2_I0STAR, cokernel_chart, types_with_index_up_to
 
 SHIPPED_FILE = (
     pathlib.Path(__file__).resolve().parent.parent / "corpus" / "presentations" / "i2_i0star.json"
@@ -40,7 +40,7 @@ REFERENCE_WITNESS = (
 
 
 def _i2_i0star() -> CollisionPresentation:
-    return load_presentations()[frozenset(("I2", "I0*"))]
+    return load_presentations()[I2_I0STAR]
 
 
 # ---------------------------------------------------------------------------
@@ -63,20 +63,22 @@ def test_presentation_bookkeeping_identity():
     with pytest.raises(PresentationInconsistent):
         CollisionPresentation(
             (1, 2),
-            (BranchPresentation("I1", (DivisorRecord(1, 1, (1, 1)),)),),
+            (BranchPresentation(KodairaType.parse("I1"), (DivisorRecord(1, 1, (1, 1)),)),),
         )
     with pytest.raises(PresentationInconsistent):
         CollisionPresentation((1, 1), ())
     with pytest.raises(PresentationInconsistent):
-        CollisionPresentation((0, 1), (BranchPresentation("I1", (DivisorRecord(1, 1, (0, 1)),)),))
+        CollisionPresentation(
+            (0, 1), (BranchPresentation(KodairaType.parse("I1"), (DivisorRecord(1, 1, (0, 1)),)),)
+        )
     with pytest.raises(PresentationInconsistent):
         # incidence length mismatch
         CollisionPresentation(
             (1,),
-            (BranchPresentation("I1", (DivisorRecord(1, 1, (1, 0)),)),),
+            (BranchPresentation(KodairaType.parse("I1"), (DivisorRecord(1, 1, (1, 0)),)),),
         )
     with pytest.raises(PresentationInconsistent):
-        BranchPresentation("I1", ())
+        BranchPresentation(KodairaType.parse("I1"), ())
     with pytest.raises(PresentationInconsistent, match="'I2x'"):
         BranchPresentation("I2x", (DivisorRecord(1, 1, (1,)),))
 
@@ -159,7 +161,9 @@ def test_single_branch_presentation():
     # induced map on a single-branch square
     pres = CollisionPresentation(
         (1, 1),
-        (BranchPresentation("I2", (DivisorRecord(1, 1, (1, 0)), DivisorRecord(1, 1, (0, 1)))),),
+        (BranchPresentation(
+            KodairaType.parse("I2"), (DivisorRecord(1, 1, (1, 0)), DivisorRecord(1, 1, (0, 1)))
+        ),),
     )
     group = local_sha_with_witnesses(pres)[0]
     assert group == DivisibleGroup(0)
@@ -176,7 +180,7 @@ def _builtin_as_dict() -> dict:
         "central_multiplicities": list(pres.central_multiplicities),
         "branches": [
             {
-                "fibre_type": br.fibre_type,
+                "fibre_type": str(br.fibre_type),
                 "divisors": [
                     {"m": dv.m, "r": dv.r, "incidence": list(dv.incidence)}
                     for dv in br.divisors
@@ -189,7 +193,7 @@ def _builtin_as_dict() -> dict:
 
 def test_presentation_from_dict_round_trip():
     pair, pres = presentation_from_dict(_builtin_as_dict())
-    assert pair == ("I2", "I0*")
+    assert tuple(map(str, pair)) == ("I2", "I0*")
     assert pres == _i2_i0star()
 
 
@@ -241,7 +245,7 @@ def test_load_presentation_file(tmp_path):
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(_builtin_as_dict()), encoding="utf-8")
     pair, pres = load_presentation_file(path)
-    assert pair == ("I2", "I0*")
+    assert tuple(map(str, pair)) == ("I2", "I0*")
     assert local_sha_with_witnesses(pres)[0] == DivisibleGroup.cyclic(2)
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]", encoding="utf-8")
@@ -251,10 +255,10 @@ def test_load_presentation_file(tmp_path):
 
 def test_store_lookup_is_order_insensitive(tmp_path):
     store = load_presentations()
-    found = store.get(frozenset(("I2", "I0*")))
+    found = store.get(I2_I0STAR)
     assert found is not None and found == _i2_i0star()
-    assert store.get(frozenset(("I0*", "I2"))) is found
-    assert store.get(frozenset(("I1", "I1"))) is None
+    assert store.get(frozenset(map(KodairaType.parse, ("I0*", "I2")))) is found
+    assert store.get(frozenset(map(KodairaType.parse, ("I1", "I1")))) is None
     # a *.json file in the directory replaces the shipped entry of its
     # pair, here written in the other order; other files are not read
     data = _builtin_as_dict()
@@ -264,9 +268,9 @@ def test_store_lookup_is_order_insensitive(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     (tmp_path / "notes.txt").write_text("not a presentation", encoding="utf-8")
     loaded = load_presentations(tmp_path)
-    assert list(loaded) == [frozenset(("I2", "I0*"))]
-    assert loaded[frozenset(("I2", "I0*"))] == load_presentation_file(path)[1] != found
-    assert load_presentations()[frozenset(("I2", "I0*"))] is found
+    assert list(loaded) == [I2_I0STAR]
+    assert loaded[I2_I0STAR] == load_presentation_file(path)[1] != found
+    assert load_presentations()[I2_I0STAR] is found
 
 
 def test_type_names_are_read_in_canonical_form(tmp_path):
@@ -275,15 +279,15 @@ def test_type_names_are_read_in_canonical_form(tmp_path):
     data["pair"][0] = data["branches"][0]["fibre_type"] = "I02"
     data["branches"] = data["branches"][:1]
     pair, pres = presentation_from_dict(data)
-    assert pair == ("I2", "I0*")
-    assert [br.fibre_type for br in pres.branches] == ["I2"]
+    assert tuple(map(str, pair)) == ("I2", "I0*")
+    assert [str(br.fibre_type) for br in pres.branches] == ["I2"]
     (tmp_path / "i02.json").write_text(json.dumps(data), encoding="utf-8")
-    assert load_presentations(tmp_path) == {frozenset(("I2", "I0*")): pres}
+    assert load_presentations(tmp_path) == {I2_I0STAR: pres}
 
 
 def test_shipped_presentation_file_matches_builtin():
     pair, pres = load_presentation_file(SHIPPED_FILE)
-    assert set(pair) == {"I2", "I0*"}
+    assert set(map(str, pair)) == {"I2", "I0*"}
     assert pres == _i2_i0star()
 
 
@@ -322,10 +326,9 @@ def test_miranda_presentation_census():
             assert not chart.same_class(w, zero)
             witnessed += 1
         for br in pres.branches:
-            ft = KodairaType.parse(br.fibre_type)
-            assert sum(dv.r for dv in br.divisors) == component_count(ft)
+            assert sum(dv.r for dv in br.divisors) == component_count(br.fibre_type)
             swept = sorted(dv.m for dv in br.divisors for _ in range(dv.r))
-            assert swept == sorted(multiplicities(ft))
+            assert swept == sorted(multiplicities(br.fibre_type))
     assert witnessed == 42
 
 
@@ -371,7 +374,7 @@ def test_miranda_presentation_off_the_built_families():
 # seeded presentations, pinned
 
 
-def _random_branch(rng, fibre_type: str, central: tuple[int, ...]) -> BranchPresentation:
+def _random_branch(rng, fibre_type: KodairaType, central: tuple[int, ...]) -> BranchPresentation:
     # divisors that sweep out central: each takes a random share of what
     # is left, and the last takes the rest with m = r = 1
     left, divisors = list(central), []
@@ -391,7 +394,7 @@ def _random_presentations(count: int = 200):
     rng = random.Random(20261020)
     for i in range(count):
         central = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 10)))
-        types = ("I2",) if i % 2 else ("I2", "I0*")
+        types = tuple(map(KodairaType.parse, ("I2",) if i % 2 else ("I2", "I0*")))
         yield CollisionPresentation(
             central, tuple(_random_branch(rng, t, central) for t in types)
         )

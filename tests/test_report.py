@@ -24,7 +24,7 @@ from ellfib.report import (
     render_text,
 )
 
-from support import discriminant
+from support import I2_I0STAR, discriminant
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -475,10 +475,11 @@ def test_render_text_lines():
     # a presentation whose kernel is Q/Z: one divisor meets the central
     # component twice, the other once
     divisible = CollisionPresentation(
-        (3,), (BranchPresentation("I2", (DivisorRecord(1, 1, (2,)), DivisorRecord(1, 1, (1,)))),)
+        (3,), (BranchPresentation(weierstrass.KodairaType.parse("I2"),
+                                  (DivisorRecord(1, 1, (2,)), DivisorRecord(1, 1, (1,)))),)
     )
     doc = analyze(parse_description((CORPUS / "i2_i0star.fib").read_text(encoding="utf-8")),
-                  store={frozenset(("I2", "I0*")): divisible})
+                  store={I2_I0STAR: divisible})
     text = render_text(doc)
     assert "[root] I2+I0*: local sha (computed from presentation [registry]) = (Q/Z)^1;" in text
     assert "[root] I2+I0*: unusual: computed group has a divisible part" in text
