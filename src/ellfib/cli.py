@@ -123,7 +123,7 @@ def _cmd_blowup(args, out) -> int:
 def _cmd_reduce(args, out) -> int:
     tree = miranda_reduce([_germs(args)])[0]
     lines: list[str] = []
-    report_mod._tree_text(report_mod._tree_json(tree.root), lines, 0)
+    report_mod.tree_text(report_mod.tree_json(tree.root), lines, 0)
     for line in lines:
         print(line, file=out)
     print(f"height: {tree.height()}", file=out)

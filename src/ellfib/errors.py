@@ -30,10 +30,6 @@ class NotMinimal(FibrationError):
     """Profile still admits a full quadratic/cubic twist."""
 
 
-class ZeroPolynomial(FibrationError):
-    """Valuation of the identically zero polynomial is undefined."""
-
-
 class DegenerateModel(FibrationError):
     """The discriminant 4a^3 + 27b^2 vanishes identically."""
 

@@ -66,7 +66,7 @@ MAX_FIBRE_INDEX = 100_000
 MAX_EXPONENT = MAX_FIBRE_INDEX // 3
 
 # Largest number of terms written in one polynomial.  The model never
-# expands Delta (weierstrass.discriminant_vanishes, discriminant_valuation),
+# expands Delta (weierstrass.discriminant_vanishes, axis_profile),
 # but where 4 a^3 and 27 b^2 cancel to a high power of an axis it builds
 # the slices of a^2, a^3 and b^2 below that power, which can grow with
 # the cube of the terms there.  The slowest shape a seeded search found,

@@ -12,8 +12,6 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Dict, Tuple
 
-from .errors import ZeroPolynomial
-
 Exponent = Tuple[int, int]
 Poly = Dict[Exponent, Rational]
 
@@ -80,12 +78,3 @@ def divide(p: Poly, q: Poly) -> Poly | None:
         mul(monomial(-r, qs, qt), q, rem)
     return out
 
-
-def axis_valuation(p: Poly, axis: str) -> int:
-    """Largest k such that s^k (axis "s") or t^k (axis "t") divides p."""
-    if not p:
-        raise ZeroPolynomial("the zero polynomial has no valuation")
-    if axis not in ("s", "t"):
-        raise ValueError(f"axis must be 's' or 't', got {axis!r}")
-    idx = 0 if axis == "s" else 1
-    return min(e[idx] for e in p)

@@ -2,7 +2,8 @@
 collision, and collect the group-theoretic invariants into one report
 document, the plain dict that `report --format json` prints (see the
 README for its layout).  `render_json` encodes it and `render_text`
-prints the same data as text.
+prints the same data as text; `tree_json` and `tree_text` do the same
+for one blow-up tree.
 
 Individual failures (a bad profile, an unresolvable collision, a broken
 presentation file) are recorded in the document's error list instead of
@@ -35,7 +36,7 @@ from .presentations import (
 from .readers import render_valuation
 from .weierstrass import KodairaType, ValuationProfile, axis_profile, j_valuation, minimalize
 
-__all__ = ["analyze", "render_text", "render_json"]
+__all__ = ["analyze", "render_text", "render_json", "tree_json", "tree_text"]
 
 FORMAT_VERSION = 1
 
@@ -68,7 +69,9 @@ def _germ_json(g: BranchGerm) -> dict:
     return {"name": g.name, "type": str(g.fibre_type), "profile": _profile_json(g.profile)}
 
 
-def _tree_json(node: BlowupNode) -> dict:
+def tree_json(node: BlowupNode) -> dict:
+    """The document of a blow-up tree: one dict per node, its children
+    nested."""
     out = {
         "path": node.path or "root",
         "status": node.status,
@@ -79,7 +82,7 @@ def _tree_json(node: BlowupNode) -> dict:
         out["exceptional"] = _germ_json(node.exceptional)
         out["twists_absorbed"] = node.twist_count
     if node.children is not None:
-        out["children"] = [_tree_json(ch) for ch in node.children]
+        out["children"] = [tree_json(ch) for ch in node.children]
     return out
 
 
@@ -186,7 +189,7 @@ def _collision_json(
             "the type pair of no allowed leaf of the collision"))
     leaves = [_leaf_json(leaf, store.get(key), c.presentation if key == attached else "registry")
               for leaf, key in zip(allowed, keys)]
-    return _tree_json(tree.root), leaves
+    return tree_json(tree.root), leaves
 
 
 def analyze(
@@ -276,7 +279,7 @@ def _profile_text(p: dict) -> str:
     return f"(va={p['va']}, vb={p['vb']}, vdelta={p['vdelta']})"
 
 
-def _tree_text(node: dict, lines: list[str], indent: int) -> None:
+def tree_text(node: dict, lines: list[str], indent: int) -> None:
     """Append one line per node of a blow-up tree document."""
     pad = "  " * indent
     left, right = node["left"], node["right"]
@@ -288,7 +291,7 @@ def _tree_text(node: dict, lines: list[str], indent: int) -> None:
     lines.append(f"{pad}[{node['path']}] {left['type']} + {right['type']}  "
                  f"({left['name']} + {right['name']}): {node['status']}{extra}")
     for ch in node.get("children", ()):
-        _tree_text(ch, lines, indent + 1)
+        tree_text(ch, lines, indent + 1)
 
 
 def render_text(doc: dict) -> str:
@@ -316,7 +319,7 @@ def render_text(doc: dict) -> str:
         if tree is None:
             lines.append("  failed (see errors)")
             continue
-        _tree_text(tree, lines, 1)
+        tree_text(tree, lines, 1)
         for v, g in zip(verdicts, groups):
             head = f"  [{v['path']}] {v['pair']}"
             lines.append(f"{head}: verdict {v['verdict']}"

@@ -188,9 +188,8 @@ class WeierstrassPolyModel:
     model reads from a and b only the three facts the analysis needs,
     "Delta is not identically zero" (checked here, raising
     DegenerateModel, by discriminant_vanishes) and v_s(Delta), v_t(Delta)
-    (axis_profile, by discriminant_valuation).  Each is read from the
-    leading terms of a and b, and only where those cancel from more of
-    them."""
+    (axis_profile).  Each is read from the leading terms of a and b,
+    and only where those cancel from more of them."""
 
     a: poly.Poly
     b: poly.Poly
@@ -303,11 +302,17 @@ def _slice(x, y, pairs) -> poly.Poly:
     return out
 
 
-def discriminant_valuation(a: poly.Poly, b: poly.Poly, axis: str) -> int:
-    """v(Delta) along the s or t axis, Delta = 4 a^3 + 27 b^2 nonzero.
+# perfbench/tracing.py times the discriminant reads under this name
+discriminant = discriminant_vanishes
 
-    With alpha = v(a) and beta = v(b), v(Delta) = min(3 alpha, 2 beta)
-    when 3 alpha != 2 beta.  Otherwise Delta is expanded one axis degree
+
+def axis_profile(model: WeierstrassPolyModel, axis: str) -> ValuationProfile:
+    """Valuation profile (alpha, beta, v(Delta)) of the model along the s
+    or t axis, alpha = v(a) and beta = v(b), INFINITY for a zero
+    coefficient.
+
+    v(Delta) = min(3 alpha, 2 beta) when 3 alpha != 2 beta, which holds
+    whenever a or b is zero.  Otherwise Delta is expanded one axis degree
     at a time from the lowest slices of a and b.  Its lowest slice
     4 a_0^3 + 27 b_0^2 is tested like the whole (discriminant_vanishes).
     The higher ones are built in increasing order, each from the slices
@@ -315,17 +320,15 @@ def discriminant_valuation(a: poly.Poly, b: poly.Poly, axis: str) -> int:
     width find the degrees where some product lands, so empty degrees
     cost nothing.
     """
-    if not a:
-        return 2 * poly.axis_valuation(b, axis)
-    if not b:
-        return 3 * poly.axis_valuation(a, axis)
-    alpha, beta = poly.axis_valuation(a, axis), poly.axis_valuation(b, axis)
+    idx = ("s", "t").index(axis)
+    a, b = model.a, model.b
+    alpha = min(e[idx] for e in a) if a else INFINITY
+    beta = min(e[idx] for e in b) if b else INFINITY
     if 3 * alpha != 2 * beta:
-        return min(3 * alpha, 2 * beta)
-    idx = 0 if axis == "s" else 1
+        return ValuationProfile(alpha, beta, min(3 * alpha, 2 * beta))
     xa, xb = _axis_slices(a, idx, alpha), _axis_slices(b, idx, beta)
     if not discriminant_vanishes(xa[0], xb[0]):
-        return 3 * alpha
+        return ValuationProfile(alpha, beta, 3 * alpha)
     ao, bo = sorted(xa), sorted(xb)
     a2 = {0: poly.mul(xa[0], xa[0])}  # slices of a^2
     a2o = [0]  # the offsets where a^2 may have a slice, sorted
@@ -339,17 +342,6 @@ def discriminant_valuation(a: poly.Poly, b: poly.Poly, axis: str) -> int:
             a3_j = _slice(xa, a2, p3.get(j, ()))
             b2_j = _slice(xb, xb, q2.get(j, ()))
             if poly.add(poly.scale(a3_j, 4), poly.scale(b2_j, 27)):
-                return 3 * alpha + j
+                return ValuationProfile(alpha, beta, 3 * alpha + j)
         lo, hi = hi, 2 * hi
     raise DegenerateModel("discriminant 4 a^3 + 27 b^2 vanishes identically")
-
-
-# perfbench/tracing.py times the discriminant reads under this name
-discriminant = discriminant_vanishes
-
-
-def axis_profile(model: WeierstrassPolyModel, axis: str) -> ValuationProfile:
-    """Valuation profile of the model along one coordinate axis."""
-    va = INFINITY if not model.a else poly.axis_valuation(model.a, axis)
-    vb = INFINITY if not model.b else poly.axis_valuation(model.b, axis)
-    return ValuationProfile(va, vb, discriminant_valuation(model.a, model.b, axis))

@@ -1,10 +1,10 @@
 """Shared helpers for the test suite: canonical valuation profiles per
 fibre type, seeded consistent profiles, small enumerations used by
-several test modules, the polynomial oracles (powers and the fully
-expanded discriminant) that the library's leading-term reads are checked
-against, the canonical text forms that the parser's round trips are
-checked against, the token parser that the one-pass polynomial scanner
-is checked against, polynomial text for a coefficient of a given size
+several test modules, the polynomial oracles (powers, the fully
+expanded discriminant and axis valuations) that the library's
+leading-term reads are checked against, the canonical text forms that
+the parser's round trips are checked against, the token parser that the
+one-pass polynomial scanner is checked against, polynomial text for a coefficient of a given size
 (`power_of_two`), integer-matrix builders and oracles (`zeros`,
 `diagonal`, `det_laplace`, n-torsion counts), the cokernel chart that
 witnesses of a local group are checked with (`cokernel_chart`), and the
@@ -109,6 +109,12 @@ def discriminant(a: poly.Poly, b: poly.Poly) -> poly.Poly:
     """Delta = 4 a^3 + 27 b^2, expanded term by term (zero when it
     vanishes identically)."""
     return poly.add(poly.scale(power(a, 3), 4), poly.scale(power(b, 2), 27))
+
+
+def axis_valuation(p: poly.Poly, axis: str) -> int:
+    """Largest k such that s^k (axis "s") or t^k (axis "t") divides the
+    nonzero polynomial p."""
+    return min(e[("s", "t").index(axis)] for e in p)
 
 
 def render_poly(p: poly.Poly) -> str:

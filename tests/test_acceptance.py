@@ -51,6 +51,7 @@ from ellfib.weierstrass import (
 
 from support import (
     I2_I0STAR,
+    axis_valuation,
     bruteforce_n_torsion,
     cokernel_chart,
     discriminant,
@@ -303,7 +304,7 @@ def test_criterion_09_polynomial_front_end():
         delta = discriminant(model.a, model.b)
         for axis, pa, pb in (("s", p1, q1), ("t", p2, q2)):
             expected_vdelta = min(3 * pa, 2 * pb)
-            assert poly.axis_valuation(delta, axis) == expected_vdelta
+            assert axis_valuation(delta, axis) == expected_vdelta
             profile = axis_profile(model, axis)
             assert profile.as_tuple() == (pa, pb, expected_vdelta)
             assert j_valuation(profile) == 3 * pa - expected_vdelta

@@ -7,10 +7,11 @@ import json
 import pathlib
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
-from ellfib import collisions
+from ellfib import collisions, poly
 from ellfib.cli import EXIT_ENGINE, EXIT_INPUT, EXIT_OK, build_arg_parser, main
 from ellfib.errors import ParseError
 from ellfib.kodaira import MAX_LATTICE_COMPONENTS
@@ -30,7 +31,7 @@ from ellfib.presentations import (
 from ellfib.readers import INFINITY
 from ellfib.weierstrass import KodairaType
 
-from support import canonical_profile, power_of_two, types_with_index_up_to
+from support import canonical_profile, power_of_two, render_poly, types_with_index_up_to
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -537,6 +538,65 @@ def test_report_seeded_descriptions_golden_fingerprint(tmp_path):
                 record = _run_captured("report", str(path), "--format", fmt, *extra)
                 digest.update(f"{i} {fmt} {len(extra)}\n{record}".encode())
     assert digest.hexdigest() == _REPORT_SHA256
+
+
+def _random_unit(rng, ratio: bool) -> dict:
+    """One to four terms with a nonzero constant term, so divisible by
+    neither s nor t; with ratio, every coefficient a ratio."""
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    exponents = [(0, 0)] + rng.sample(cells[1:], rng.randint(0, 3))
+    return {
+        e: Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.choice((2, 3))) if ratio
+        else rng.choice((-5, -3, -2, -1, 1, 2, 4))
+        for e in exponents
+    }
+
+
+def _random_polynomial_description(rng, i: int) -> str:
+    """A Weierstrass model of kind i % 6: a = 0, b = 0, leading terms that
+    need not cancel, or (kinds 3 to 5) leading terms that cancel,
+    a = -3 u^2 M^2 and b = (2 u^3 + s^n t^m w) M^3 with M a monomial and
+    n >= 1, on the s-axis only (kind 3, m = 0) or mostly on both (m from
+    0 to 5); every fifth description has ratio coefficients, and half of
+    them add the collision of the two axes."""
+    ratio, kind = i % 5 == 4, i % 6
+    u, w = _random_unit(rng, ratio), _random_unit(rng, ratio)
+    exps = [rng.randint(0, 5) for _ in range(4)]
+    if kind == 0:
+        a, b = {}, poly.mul(u, poly.monomial(1, exps[0], exps[1]))
+    elif kind == 1:
+        a, b = poly.mul(u, poly.monomial(1, exps[0], exps[1])), {}
+    elif kind == 2:
+        a = poly.mul(u, poly.monomial(1, exps[0], exps[1]))
+        b = poly.mul(w, poly.monomial(1, exps[2], exps[3]))
+    else:
+        k, kt, n, m = rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 5), rng.randint(0, 5)
+        if kind == 3:
+            m = 0
+        u2 = poly.mul(u, u)
+        a = poly.mul(poly.scale(u2, -3), poly.monomial(1, 2 * k, 2 * kt))
+        x = poly.mul(w, poly.monomial(1, n, m))
+        b = poly.mul(poly.add(poly.scale(poly.mul(u2, u), 2), x), poly.monomial(1, 3 * k, 3 * kt))
+    text = f"[weierstrass] a = {render_poly(a)} b = {render_poly(b)}\n"
+    return text + "[collision] s-axis t-axis\n" * ((i // 6 + i) % 2)
+
+
+# SHA-256 of `report` (exit code, stdout, stderr) on 30 seeded
+# polynomial-mode descriptions, each in JSON and in text, taken before
+# axis_profile became the one reader of v(a), v(b) and v(Delta)
+_POLYNOMIAL_REPORT_SHA256 = "31e4faebf1ac1720ecf170c291fc86f7e4fdab6fa2272e26656731673c1c82ca"
+
+
+def test_report_seeded_polynomial_descriptions_golden_fingerprint(tmp_path):
+    rng = random.Random(20261020)
+    digest = hashlib.sha256()
+    for i in range(30):
+        path = tmp_path / f"w{i:02d}.fib"
+        path.write_text(_random_polynomial_description(rng, i), encoding="utf-8")
+        for fmt in ("json", "text"):
+            record = _run_captured("report", str(path), "--format", fmt)
+            digest.update(f"{i} {fmt}\n{record}".encode())
+    assert digest.hexdigest() == _POLYNOMIAL_REPORT_SHA256
 
 
 def test_report_missing_file(capsys):

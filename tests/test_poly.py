@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from ellfib import poly
-from ellfib.errors import ZeroPolynomial
 from ellfib.parser import parse_polynomial
 from support import power, render_poly
 
@@ -74,18 +73,6 @@ def test_mul_into_accumulates_in_place():
     out = poly.mul(s, s)
     assert poly.mul(t, t, out) is out
     assert poly.mul(s, poly.scale(s, -1), out) == {(0, 2): 1}
-
-
-def test_valuations():
-    # p = s^2 t + s^3
-    p = poly.add(poly.monomial(1, 2, 1), poly.monomial(1, 3, 0))
-    assert poly.axis_valuation(p, "s") == 2
-    assert poly.axis_valuation(p, "t") == 0
-    assert poly.axis_valuation(poly.monomial(4), "s") == 0
-    with pytest.raises(ZeroPolynomial):
-        poly.axis_valuation({}, "s")
-    with pytest.raises(ValueError):
-        poly.axis_valuation(p, "x")
 
 
 def test_render_fixed_forms():

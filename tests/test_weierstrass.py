@@ -30,6 +30,7 @@ from ellfib.weierstrass import (
 )
 
 from support import (
+    axis_valuation,
     canonical_profile,
     discriminant,
     random_consistent_profile,
@@ -258,6 +259,20 @@ def test_axis_profile_with_identically_zero_coefficient():
     profile = axis_profile(model, "s")
     assert profile == ValuationProfile(INFINITY, 2, 4)
     assert str(classify(profile)) == "IV"
+    # b = 0: vb is infinite, vdelta = 3 va
+    model = WeierstrassPolyModel(poly.monomial(1, 1, 2), {})
+    profile = axis_profile(model, "t")
+    assert profile == ValuationProfile(2, INFINITY, 6)
+    assert str(classify(profile)) == "I0*"
+
+
+def test_axis_profile_refuses_other_axes():
+    # only the coordinate axes s and t are branches; the empty name too
+    # is refused, though it is a substring of "st"
+    model = WeierstrassPolyModel(poly.monomial(1, 1, 0), poly.monomial(1, 0, 1))
+    for axis in ("x", "", "st", "S"):
+        with pytest.raises(ValueError):
+            axis_profile(model, axis)
 
 
 def test_axis_profile_detects_cancellation():
@@ -284,8 +299,8 @@ def test_monomial_discriminant_valuation_rule():
         c2 = rng.choice([x for x in range(-5, 6) if x])
         model = _monomial_model(c1, p1, q1, c2, p2, q2)
         delta = discriminant(model.a, model.b)
-        assert poly.axis_valuation(delta, "s") == min(3 * p1, 2 * p2)
-        assert poly.axis_valuation(delta, "t") == min(3 * q1, 2 * q2)
+        assert axis_valuation(delta, "s") == min(3 * p1, 2 * p2)
+        assert axis_valuation(delta, "t") == min(3 * q1, 2 * q2)
         for axis, va, vb in (("s", p1, p2), ("t", q1, q2)):
             profile = axis_profile(model, axis)
             assert profile.as_tuple() == (va, vb, min(3 * va, 2 * vb))
@@ -330,7 +345,7 @@ def _oracle_case(rng, i):
 
 @pytest.mark.parametrize("certificate", [True, False], ids=["mod_p", "division_only"])
 def test_leading_term_reads_match_full_discriminant(certificate, monkeypatch):
-    # discriminant_vanishes, discriminant_valuation and the model read Delta
+    # discriminant_vanishes, the model and axis_profile read Delta
     # from leading terms and low slices only; the oracle expands all of it.
     # Without the modular certificate every cancelling case goes to division.
     if not certificate:
@@ -350,10 +365,11 @@ def test_leading_term_reads_match_full_discriminant(certificate, monkeypatch):
             seen["lm_tie"] += 1
         model = WeierstrassPolyModel(a, b)
         for axis in ("s", "t"):
-            vdelta = poly.axis_valuation(delta, axis)
-            assert weierstrass.discriminant_valuation(a, b, axis) == vdelta, (a, b, axis)
             profile = axis_profile(model, axis)
-            assert profile.vdelta == vdelta
+            vdelta = axis_valuation(delta, axis)
+            assert profile.vdelta == vdelta, (a, b, axis)
+            assert profile.va == (axis_valuation(a, axis) if a else INFINITY)
+            assert profile.vb == (axis_valuation(b, axis) if b else INFINITY)
             seen["cancelled"] += vdelta > min(3 * profile.va, 2 * profile.vb)
     assert seen["cancelled"] >= 120 and seen["degenerate"] >= 40 and seen["lm_tie"] >= 140, seen
 
