@@ -10,8 +10,8 @@ discriminant relation do not come from such a model and are rejected as
 ProfileInconsistent.
 
 Blowing up repeatedly drives every collision to one of the seven
-resolvable patterns (within depth 5 on every pair tried, far below
-MAX_BLOWUP_DEPTH) or dissolves it entirely.
+resolvable patterns or dissolves it entirely, within 5 blow-ups
+(miranda_reduce proves the bound).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from math import gcd
 
 from .errors import (
     AllZero,
-    DepthExceeded,
     InvalidCollision,
     InvalidProfile,
     NegativeCorank,
@@ -37,7 +36,6 @@ from .weierstrass import (
 )
 
 __all__ = [
-    "MAX_BLOWUP_DEPTH",
     "BranchGerm",
     "CollisionPoint",
     "BlowupNode",
@@ -52,12 +50,6 @@ __all__ = [
 ALLOWED = "allowed"
 DISSOLVED = "dissolved"
 BLOWN_UP = "blown-up"
-
-# Deepest blow-up path miranda_reduce follows before it raises
-# DepthExceeded.  Every pair of minimal profiles tried so far resolves or
-# dissolves within depth 5 (tests/test_collisions.py), so the bound only
-# guards against a defect in the reduction itself.
-MAX_BLOWUP_DEPTH = 64
 
 NO_MULTIPLE_FIBRE = "NoIsolatedMultipleFibre"
 POSSIBLY_OBSTINATE = "PossiblyObstinate"
@@ -212,11 +204,6 @@ def _expand(left: BranchGerm, right: BranchGerm, path: str) -> BlowupNode:
         return BlowupNode(left, right, path, DISSOLVED)
     if miranda_entry(left.fibre_type, right.fibre_type) is not None:
         return BlowupNode(left, right, path, ALLOWED)
-    if len(path) >= MAX_BLOWUP_DEPTH:
-        raise DepthExceeded(
-            f"collision {left.name!r} + {right.name!r} not resolved within "
-            f"depth {MAX_BLOWUP_DEPTH}"
-        )
     minimal, twists = blow_up(CollisionPoint(left, right))
     # short positional name: the tree already records what was blown up
     exc = BranchGerm("E" if not path else f"E:{path}", minimal)
@@ -229,8 +216,51 @@ def _expand(left: BranchGerm, right: BranchGerm, path: str) -> BlowupNode:
 
 def miranda_reduce(collisions) -> list[BlowupTree]:
     """Resolve each collision by repeated blow-ups until every remaining
-    crossing is allowed or dissolved.  Children are explored left first;
-    paths longer than MAX_BLOWUP_DEPTH raise DepthExceeded."""
+    crossing is allowed or dissolved.  Children are explored left first.
+
+    Every tree has height at most 5 and at most 23 nodes, for this
+    reason.  A minimal profile (va, vb, vdelta) with vdelta >= 1 has
+    exactly one of four shapes:
+
+      M  (0, 0, n), type I_n;
+      S  (2, 3, 6 + n), type I_n*;
+      A  3 va < 2 vb, so vdelta = 3 va and va is 1, 2 or 3 (III, I0*,
+         III*; va >= 4 would force vb >= 7, a twist).  Its residue is va;
+      B  2 vb < 3 va, so vdelta = 2 vb and vb is 1 to 5 (II, IV, I0*,
+         IV*, II*; vb >= 6 would force va >= 5).  Its residue is vb.
+
+    The exceptional curve of a blow-up carries the sum of the two
+    profiles, and blow_up minimalizes it:
+
+      A + A  The sum keeps 3 va < 2 vb, so it has vdelta = 3 va, and
+             minimalize removes va // 4 twists (vdelta // 12 = va // 4
+             <= vb // 6).  The exceptional's residue is (x + y) mod 4
+             for parents of residues x and y; residue 0 is I0, where
+             both children dissolve.
+      B + B  The same, mod 6.
+      A + B  For (va, vb, 3 va) and (va', vb', 2 vb'), the summed
+             vdelta = 3 va + 2 vb' lies below both 3 (va + va') and
+             2 (vb + vb'): ProfileInconsistent, unless the pair is III + I0*, II + I0* or IV + I0* (the
+             I0* of the other shape), which is on Miranda's list.
+      M or S with n >= 1, against A or B: the sum's vdelta is n more
+             than its shape allows: ProfileInconsistent, unless the
+             pair is I_n + I0*, which is on Miranda's list.
+      M + M, M + S  On Miranda's list.
+      S + S  One twist leaves I_(n+m).  Both children are I + I*, on
+             the list, or dissolve when n = m = 0.
+
+    The germ (2, 3, 6), type I0*, sums like an A germ of residue 2 and
+    like a B germ of residue 3.  So every other tree, of A + A, B + B
+    or (2, 3, 6) against A or B, is a recursion on a pair of residues
+    (x, y) mod m = 4 (shape A) or 6 (shape B).  A node (x, y) is
+    dissolved when x or y is 0, and allowed when {x, y} is on Miranda's
+    list: {1, 2} mod 4 (III + I0*), or {1, 2}, {1, 3}, {1, 4}, {2, 3}
+    mod 6 (II + IV, II + I0*, II + IV*, IV + I0*).  Otherwise it is
+    blown up, with e = (x + y) mod m and children (x, e) and (y, e).
+    The recursion ends on each of the 9 + 25 ordered residue pairs.
+    Its highest and largest trees are III* + III* (height 3, 11 nodes)
+    and II* + II* (height 5, 23 nodes).  tests/test_collisions.py checks
+    every pair of shape classes against it."""
     return [BlowupTree(_expand(c.left, c.right, "")) for c in collisions]
 
 

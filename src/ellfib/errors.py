@@ -42,10 +42,6 @@ class ProfileInconsistent(FibrationError):
     """Summed branch valuations cannot come from a monomial model."""
 
 
-class DepthExceeded(FibrationError):
-    """Blow-up worklist passed the configured depth bound."""
-
-
 class LatticeTooLarge(FibrationError):
     """A fibre has more components than an explicit Gram matrix is built for."""
 

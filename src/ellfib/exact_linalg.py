@@ -301,8 +301,9 @@ class DivisibleGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.divisible_rank < 0:
-            raise ValueError("negative divisible rank")
+        rank = self.divisible_rank
+        if type(rank) is not int or rank < 0:  # no bool or float
+            raise ValueError(f"divisible rank must be a nonnegative int, got {rank!r}")
         prev = 1
         for d in self.invariant_factors:
             if not isinstance(d, int) or d < 2:

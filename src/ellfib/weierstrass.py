@@ -48,7 +48,7 @@ class KodairaType:
     def __post_init__(self):
         if self.kind not in _STAR_KINDS + _FIXED_KINDS:
             raise ValueError(f"unknown fibre kind {self.kind!r}")
-        if not isinstance(self.index, int) or self.index < 0:
+        if type(self.index) is not int or self.index < 0:  # no bool or float
             raise ValueError(f"index must be a nonnegative int, got {self.index!r}")
         if self.kind in _FIXED_KINDS and self.index != 0:
             raise ValueError(f"type {self.kind} carries no index")

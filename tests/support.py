@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: canonical valuation profiles per
 fibre type, seeded consistent profiles, small enumerations used by
-several test modules, the polynomial oracles (powers, the fully
+several test modules, the residue recursion that blow-up trees are
+checked against (`class_tree`, `residue_pair`), the polynomial oracles (powers, the fully
 expanded discriminant and axis valuations) that the library's
 leading-term reads are checked against, the canonical text forms that
 the parser's round trips are checked against, the token parser that the
@@ -18,7 +19,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from ellfib import poly
-from ellfib.errors import Diagnostic, DimensionMismatch, ParseError
+from ellfib.collisions import ALLOWED, DISSOLVED
+from ellfib.errors import Diagnostic, DimensionMismatch, ParseError, ProfileInconsistent
 from ellfib.exact_linalg import DivisibleGroup, IntMatrix, smith_normal_form
 from ellfib.parser import MAX_EXPONENT, MAX_TERMS
 from ellfib.readers import INFINITY, render_valuation
@@ -87,6 +89,68 @@ def summed_profile_is_consistent(p: ValuationProfile, q: ValuationProfile) -> bo
     if 3 * va != 2 * vb and vd != floor:
         return False
     return True
+
+
+def germ_class(p: ValuationProfile) -> str:
+    """The shape class of a minimal profile with vdelta >= 1: M (I_n),
+    S (I_n*, n >= 1), I0* for (2, 3, 6), A1-A3 (3 va < 2 vb, by va) or
+    B1-B5 (2 vb < 3 va, by vb), as miranda_reduce's docstring defines
+    them."""
+    if p.va == p.vb == 0:
+        return "M"
+    if 3 * p.va == 2 * p.vb:
+        return "I0*" if p.vdelta == 6 else "S"
+    return f"A{p.va}" if 3 * p.va < 2 * p.vb else f"B{p.vb}"
+
+
+GERM_CLASSES = ("M", "S", "I0*", "A1", "A2", "A3", "B1", "B2", "B3", "B4", "B5")
+
+# Miranda's fixed pairs as residues: va mod 4 of III, I0*, III* and
+# vb mod 6 of II, IV, I0*, IV*, II*
+_RESIDUE_ALLOWED = {4: {(1, 2)}, 6: {(1, 2), (1, 3), (1, 4), (2, 3)}}
+
+
+def residue_tree(x: int, y: int, m: int):
+    """The reduction tree of two germs of residues x and y mod m: a leaf
+    is its status, a blown-up node the pair of its children's trees."""
+    if x == 0 or y == 0:
+        return DISSOLVED
+    if tuple(sorted((x, y))) in _RESIDUE_ALLOWED[m]:
+        return ALLOWED
+    e = (x + y) % m
+    return (residue_tree(x, e, m), residue_tree(y, e, m))
+
+
+def residue_pair(c: str, d: str):
+    """(x, y, m): the residues mod m of two germ classes of one shape, A
+    (m = 4) or B (m = 6), the germ (2, 3, 6) counting as m // 2; None
+    for any other pair."""
+    shapes = {k[0] for k in (c, d) if k != "I0*"}
+    if shapes not in ({"A"}, {"B"}):
+        return None
+    m = 4 if shapes == {"A"} else 6
+    x, y = (m // 2 if k == "I0*" else int(k[1]) for k in (c, d))
+    return x, y, m
+
+
+def class_tree(c: str, d: str):
+    """The reduction tree (as residue_tree spells it) of germs of the
+    classes c and d, or ProfileInconsistent for a pair whose first
+    blow-up has no monomial model."""
+    pair = {c, d}
+    if "M" in pair:
+        # I + I and I + I* are on Miranda's list; the rest is inconsistent
+        return ALLOWED if pair <= {"M", "S", "I0*", "A2", "B3"} else ProfileInconsistent
+    if pair <= {"S", "I0*"}:
+        # one twist leaves I_(n+m), smooth only for I0* + I0*
+        leaf = DISSOLVED if pair == {"I0*"} else ALLOWED
+        return (leaf, leaf)
+    residues = residue_pair(c, d)
+    if residues is not None:
+        return residue_tree(*residues)
+    # A + B is on Miranda's list only as III + I0*, II + I0* or IV + I0*,
+    # the I0* of the other shape; S against A or B never is
+    return ALLOWED if pair in ({"A1", "B3"}, {"A2", "B1"}, {"A2", "B2"}) else ProfileInconsistent
 
 
 def power(p: poly.Poly, n: int) -> poly.Poly:

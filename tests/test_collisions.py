@@ -11,6 +11,7 @@ from ellfib.collisions import (
     ALLOWED,
     BLOWN_UP,
     DISSOLVED,
+    BlowupNode,
     BranchGerm,
     CollisionPoint,
     NO_MULTIPLE_FIBRE,
@@ -24,7 +25,6 @@ from ellfib.collisions import (
 )
 from ellfib.errors import (
     AllZero,
-    DepthExceeded,
     FibrationError,
     InvalidCollision,
     NegativeCorank,
@@ -34,7 +34,15 @@ from ellfib.exact_linalg import DivisibleGroup
 from ellfib.readers import INFINITY
 from ellfib.weierstrass import KodairaType, ValuationProfile
 
-from support import canonical_profile, summed_profile_is_consistent, types_with_index_up_to
+from support import (
+    GERM_CLASSES,
+    canonical_profile,
+    class_tree,
+    germ_class,
+    residue_pair,
+    summed_profile_is_consistent,
+    types_with_index_up_to,
+)
 
 
 def _germ(type_text: str, name: str = "") -> BranchGerm:
@@ -184,10 +192,23 @@ def test_reduce_one_blow_up():
     assert tree.leaves()[1].left.name == "R"
 
 
+def _shape(node: BlowupNode):
+    """A tree spelled as support.residue_tree spells it: a leaf is its
+    status, a blown-up node the pair of its children's shapes."""
+    if node.children is None:
+        return node.status
+    return tuple(map(_shape, node.children))
+
+
+def _node_count(node: BlowupNode) -> int:
+    return 1 + sum(map(_node_count, node.children or ()))
+
+
 def test_reduce_deep_chain():
     # II* + II* resolves through IV*, I0*, IV, II and finally dissolves
     tree = miranda_reduce([_point("II*", "II*")])[0]
     assert tree.height() == 5
+    assert _node_count(tree.root) == 23
     statuses = {n.status for n in tree.leaves()}
     assert statuses == {ALLOWED, DISSOLVED}
     # every leaf is either resolvable or has left the discriminant
@@ -196,15 +217,9 @@ def test_reduce_deep_chain():
             assert miranda_entry(*leaf.type_pair()) is not None
         else:
             assert leaf.left.profile.vdelta == 0 or leaf.right.profile.vdelta == 0
-
-
-def test_reduce_depth_bound(monkeypatch):
-    monkeypatch.setattr(collisions, "MAX_BLOWUP_DEPTH", 3)
-    with pytest.raises(DepthExceeded, match="within depth 3$"):
-        miranda_reduce([_point("II*", "II*")])
-    # the bound is about depth, not node count
-    monkeypatch.setattr(collisions, "MAX_BLOWUP_DEPTH", 5)
-    miranda_reduce([_point("II*", "II*")])
+    # the highest tree mod 4: III* + III* through I0* and III
+    tree = miranda_reduce([_point("III*", "III*")])[0]
+    assert (tree.height(), _node_count(tree.root)) == (3, 11)
 
 
 def test_reduce_exceptional_names_follow_paths():
@@ -358,7 +373,7 @@ def test_collision_policy_fingerprint():
 def test_reduction_depth_census():
     # every minimal degenerate germ with va, vb in {0..7, inf} and
     # vdelta < 40, collided with every other in both orders: each pair is
-    # either inconsistent or resolves within depth 5, far below the bound
+    # either inconsistent or resolves within depth 5, the proven bound
     values = list(range(8)) + [INFINITY]
     germs = []
     for va, vb, vd in itertools.product(values, values, range(1, 40)):
@@ -378,3 +393,70 @@ def test_reduction_depth_census():
         height = max(height, tree.height())
     assert (inconsistent, resolved) == (6844, 7797)
     assert height == 5
+
+
+def test_reduction_is_residue_addition():
+    # miranda_reduce's docstring: a germ's shape class fixes its tree.
+    # On census germs (as in test_reduction_depth_census), every A + A
+    # or B + B blow-up, the germ (2, 3, 6) counting as residue m / 2,
+    # gives the exceptional residue (x + y) mod m after (x + y) // m
+    # twists; every A + B blow-up raises; every pair's tree is its
+    # classes' residue recursion
+    values = list(range(8)) + [INFINITY]
+    germs = []
+    for va, vb, vd in itertools.product(values, values, range(1, 40)):
+        try:
+            germs.append(BranchGerm("g", ValuationProfile(va, vb, vd)))
+        except FibrationError:
+            continue
+    classes = {g: germ_class(g.profile) for g in germs}
+    assert set(classes.values()) == set(GERM_CLASSES)
+    laws = 0
+    for g, h in itertools.product(germs, germs):
+        c, d = classes[g], classes[h]
+        expected = class_tree(c, d)
+        if {c[0], d[0]} == {"A", "B"}:
+            with pytest.raises(ProfileInconsistent):
+                blow_up(CollisionPoint(g, h))
+        if expected is ProfileInconsistent:
+            with pytest.raises(ProfileInconsistent):
+                miranda_reduce([CollisionPoint(g, h)])
+            continue
+        root = miranda_reduce([CollisionPoint(g, h)])[0].root
+        assert _shape(root) == expected, (c, d)
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.children is None:
+                continue
+            stack.extend(node.children)
+            residues = residue_pair(germ_class(node.left.profile), germ_class(node.right.profile))
+            if residues is None:
+                continue
+            x, y, m = residues
+            e = (x + y) % m
+            assert node.twist_count == (x + y) // m
+            exceptional = node.exceptional.profile
+            shape = "A" if m == 4 else "B"
+            assert exceptional.vdelta == 0 if e == 0 else germ_class(exceptional) == f"{shape}{e}"
+            laws += 1
+    assert laws == 1856
+    # one germ per class: every class pair against the residue
+    # recursion, and the maxima of height and node count
+    sample = {}
+    for g in germs:
+        sample.setdefault(classes[g], g)
+    heights, sizes = [], []
+    for c, d in itertools.product(GERM_CLASSES, GERM_CLASSES):
+        point = CollisionPoint(sample[c], sample[d])
+        expected = class_tree(c, d)
+        if expected is ProfileInconsistent:
+            with pytest.raises(ProfileInconsistent):
+                miranda_reduce([point])
+            continue
+        tree = miranda_reduce([point])[0]
+        assert _shape(tree.root) == expected, (c, d)
+        heights.append(tree.height())
+        sizes.append(_node_count(tree.root))
+    assert len(GERM_CLASSES) ** 2 == 121
+    assert (max(heights), max(sizes)) == (5, 23)

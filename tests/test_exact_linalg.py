@@ -253,6 +253,10 @@ def test_divisible_group_rendering_and_invariants():
 def test_divisible_group_validation():
     with pytest.raises(ValueError):
         DivisibleGroup(-1)
+    # a bool or float rank would print as (Q/Z)^True or (Q/Z)^1.5
+    for rank in (True, 1.5):
+        with pytest.raises(ValueError, match="divisible rank must be a nonnegative int"):
+            DivisibleGroup(rank)
     with pytest.raises(ValueError):
         DivisibleGroup(0, (4, 6))  # not a divisibility chain
     with pytest.raises(ValueError):

@@ -5,9 +5,11 @@ module loads only that module and what it imports.  No name is dead:
 every import of a module is read there or exported, every exported
 function or class is read by package code (or, for the few listed in
 BENCHMARK_ONLY, by the benchmark), so is every classmethod and
-staticmethod, and every exception class of ellfib.errors is named by
-some other module.  No module reads another's private names.  Fibre
-types are parsed only where their text enters the program."""
+staticmethod and every public method and property (or, for
+BENCHMARK_ONLY_METHODS, by the benchmark), and every exception class
+of ellfib.errors is named by some other module.  No module reads
+another's private names.  Fibre types are parsed only where their text
+enters the program."""
 
 import ast
 import importlib
@@ -172,6 +174,39 @@ def test_every_classmethod_and_staticmethod_is_read():
                 if not read:
                     unread.append(f"{module}.{cls.name}.{method.name}")
     assert unread == []
+
+
+# Public methods and properties that only the benchmark reads
+BENCHMARK_ONLY_METHODS = {"exact_linalg.SmithDecomposition.V"}
+
+
+def test_every_public_method_and_property_is_read():
+    # a public method or property of a package class is dead unless
+    # package code outside its own body reads it as an attribute of that
+    # name; one that overrides a base class's attribute (argparse's
+    # parse_known_args) is read through the base.  A member of
+    # BENCHMARK_ONLY_METHODS that package code reads, or the benchmark no
+    # longer names, leaves the set.
+    reads = [
+        (id(ref), ref.attr)
+        for tree in SOURCES.values() for ref in ast.walk(tree) if isinstance(ref, ast.Attribute)
+    ]
+    unread = []
+    for module, tree in SOURCES.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            bases = getattr(importlib.import_module(f"ellfib.{module}"), cls.name).__mro__[1:]
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                if any(hasattr(base, method.name) for base in bases):
+                    continue
+                own = set(map(id, ast.walk(method)))
+                if not any(attr == method.name and at not in own for at, attr in reads):
+                    unread.append(f"{module}.{cls.name}.{method.name}")
+    assert sorted(unread) == sorted(BENCHMARK_ONLY_METHODS)
+    assert [
+        n for n in BENCHMARK_ONLY_METHODS if not re.search(rf"\.{n.split('.')[-1]}\b", BENCH)
+    ] == []
 
 
 def _private(name: str) -> bool:

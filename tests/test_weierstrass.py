@@ -57,6 +57,10 @@ def test_kodaira_type_parse_and_str():
         KodairaType("II", 3)
     with pytest.raises(ValueError):
         KodairaType("W")
+    # a bool or float index would print as ITrue or IFalse*
+    for kind, index in (("I", True), ("I*", False), ("I", 2.0)):
+        with pytest.raises(ValueError, match="index must be a nonnegative int"):
+            KodairaType(kind, index)
 
 
 def test_kodaira_type_predicates():
